@@ -1,7 +1,5 @@
 #include "dma/static_inputs.h"
 
-#include <cstdlib>
-
 #include "util/string_util.h"
 
 namespace doppler::dma {
@@ -9,9 +7,8 @@ namespace doppler::dma {
 namespace {
 
 StatusOr<double> ParseNumber(const std::string& text) {
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  if (end == text.c_str() || !Trim(end).empty()) {
+  double value = 0.0;
+  if (!ParseDouble(text, &value)) {
     return InvalidArgumentError("not a number: '" + text + "'");
   }
   return value;
@@ -165,7 +162,7 @@ StatusOr<catalog::SkuCatalog> CatalogFromCsv(const CsvTable& table) {
 
   catalog::SkuCatalog skus;
   for (std::size_t r = 0; r < table.num_rows(); ++r) {
-    const std::vector<std::string>& row = table.row(r);
+    const std::span<const std::string> row = table.row(r);
     catalog::Sku sku;
     sku.id = row[id_col];
     DOPPLER_ASSIGN_OR_RETURN(

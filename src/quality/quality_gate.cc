@@ -1,9 +1,10 @@
 #include "quality/quality_gate.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
+#include <string_view>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -26,17 +27,12 @@ struct ParsedCell {
   CellFlag flag = CellFlag::kMalformed;
 };
 
-ParsedCell ParseCell(const std::string& text) {
+ParsedCell ParseCell(std::string_view text) {
   ParsedCell cell;
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  if (end == text.c_str() || !Trim(end).empty()) {
-    return cell;  // kMalformed.
-  }
-  cell.value = value;
-  if (!std::isfinite(value)) {
+  if (!ParseDouble(text, &cell.value)) return cell;  // kMalformed.
+  if (!std::isfinite(cell.value)) {
     cell.flag = CellFlag::kNonFinite;
-  } else if (value < 0.0) {
+  } else if (cell.value < 0.0) {
     cell.flag = CellFlag::kNegative;
   } else {
     cell.flag = CellFlag::kOk;
@@ -45,11 +41,12 @@ ParsedCell ParseCell(const std::string& text) {
 }
 
 /// One raw sample: timestamp, source row (1-based, for diagnostics), and
-/// one parsed cell per gated dimension column.
+/// one parsed cell per gated dimension column (the first dims.size()
+/// slots; a column per dimension at most, so they always fit).
 struct RawRow {
   double t = 0.0;
   std::size_t source_row = 0;
-  std::vector<ParsedCell> cells;
+  std::array<ParsedCell, catalog::kNumResourceDims> cells;
 };
 
 /// Linear interpolation of every not-ok slot from its nearest ok
@@ -154,14 +151,18 @@ StatusOr<GatedTrace> GateTraceCsv(const CsvTable& table,
   const bool strict = options.policy == QualityPolicy::kStrict;
   const bool repair = options.policy == QualityPolicy::kRepair;
 
-  // Map gated columns to dimensions (unknown columns are ignored, matching
-  // TraceFromCsv).
+  // Map gated columns to dimensions (unknown columns are ignored and a
+  // repeated dimension is rejected, matching TraceFromCsv).
   std::vector<std::size_t> dim_cols;
   std::vector<ResourceDim> dims;
   for (std::size_t c = 0; c < table.num_columns(); ++c) {
     if (c == time_col) continue;
     ResourceDim dim;
     if (!catalog::ParseResourceDim(table.header()[c], &dim)) continue;
+    if (std::find(dims.begin(), dims.end(), dim) != dims.end()) {
+      return InvalidArgumentError("duplicate column '" + table.header()[c] +
+                                  "'");
+    }
     dim_cols.push_back(c);
     dims.push_back(dim);
   }
@@ -177,14 +178,15 @@ StatusOr<GatedTrace> GateTraceCsv(const CsvTable& table,
   std::vector<RawRow> rows;
   rows.reserve(table.num_rows());
   for (std::size_t r = 0; r < table.num_rows(); ++r) {
+    const std::span<const std::string> cells = table.row(r);
     RawRow row;
     row.source_row = r + 1;
-    const ParsedCell t = ParseCell(table.row(r)[time_col]);
+    const ParsedCell t = ParseCell(cells[time_col]);
     if (t.flag == CellFlag::kMalformed || t.flag == CellFlag::kNonFinite) {
       if (strict) {
         return InvalidArgumentError(
             "unusable timestamp at " + RowContext(row.source_row, "t_seconds") +
-            ": '" + table.row(r)[time_col] + "'");
+            ": '" + cells[time_col] + "'");
       }
       // A sample that cannot be placed in time is dropped under both
       // repair and permissive: there is no slot to carry it in.
@@ -193,16 +195,16 @@ StatusOr<GatedTrace> GateTraceCsv(const CsvTable& table,
       continue;
     }
     row.t = t.value;
-    row.cells.reserve(dims.size());
     for (std::size_t d = 0; d < dims.size(); ++d) {
-      ParsedCell cell = ParseCell(table.row(r)[dim_cols[d]]);
+      ParsedCell& cell = row.cells[d];
+      cell = ParseCell(cells[dim_cols[d]]);
       switch (cell.flag) {
         case CellFlag::kMalformed:
           if (strict) {
             return InvalidArgumentError(
                 "not a number at " +
                 RowContext(row.source_row, table.header()[dim_cols[d]]) +
-                ": '" + table.row(r)[dim_cols[d]] + "'");
+                ": '" + cells[dim_cols[d]] + "'");
           }
           gated.report.Add(DefectClass::kMalformedCell, 1, repair,
                            repair ? "unparseable cells interpolated"
@@ -237,7 +239,6 @@ StatusOr<GatedTrace> GateTraceCsv(const CsvTable& table,
         case CellFlag::kOk:
           break;
       }
-      row.cells.push_back(cell);
     }
     rows.push_back(std::move(row));
   }

@@ -43,6 +43,12 @@ CsvTable CopyHeader(const CsvTable& table) {
   return CsvTable(table.header());
 }
 
+/// An owned copy of data row `r`, for rewriting before AddRow.
+std::vector<std::string> CopyRow(const CsvTable& table, std::size_t r) {
+  const std::span<const std::string> row = table.row(r);
+  return {row.begin(), row.end()};
+}
+
 }  // namespace
 
 const char* FaultKindName(FaultKind kind) {
@@ -86,7 +92,7 @@ StatusOr<CsvTable> InjectFault(const CsvTable& table, const FaultSpec& spec,
       CsvTable out = CopyHeader(table);
       for (std::size_t r = 0; r < table.num_rows(); ++r) {
         if (r >= start && r < start + len) continue;
-        (void)out.AddRow(table.row(r));
+        (void)out.AddRow(CopyRow(table, r));
       }
       return out;
     }
@@ -96,7 +102,7 @@ StatusOr<CsvTable> InjectFault(const CsvTable& table, const FaultSpec& spec,
                                table.ColumnIndex("t_seconds"));
       CsvTable out = CopyHeader(table);
       for (std::size_t r = 0; r < table.num_rows(); ++r) {
-        std::vector<std::string> row = table.row(r);
+        std::vector<std::string> row = CopyRow(table, r);
         char* end = nullptr;
         const double t = std::strtod(row[time_col].c_str(), &end);
         // Wobble by up to +/- magnitude of the nominal 10-minute cadence.
@@ -117,8 +123,8 @@ StatusOr<CsvTable> InjectFault(const CsvTable& table, const FaultSpec& spec,
         ++extra[rng->UniformInt(table.num_rows())];
       }
       for (std::size_t r = 0; r < table.num_rows(); ++r) {
-        (void)out.AddRow(table.row(r));
-        for (int k = 0; k < extra[r]; ++k) (void)out.AddRow(table.row(r));
+        (void)out.AddRow(CopyRow(table, r));
+        for (int k = 0; k < extra[r]; ++k) (void)out.AddRow(CopyRow(table, r));
       }
       return out;
     }
@@ -128,7 +134,7 @@ StatusOr<CsvTable> InjectFault(const CsvTable& table, const FaultSpec& spec,
       std::vector<std::vector<std::string>> rows;
       rows.reserve(table.num_rows());
       for (std::size_t r = 0; r < table.num_rows(); ++r) {
-        rows.push_back(table.row(r));
+        rows.push_back(CopyRow(table, r));
       }
       for (std::size_t i = 0; i < swaps && rows.size() >= 2; ++i) {
         const std::size_t a = rng->UniformInt(rows.size());
@@ -147,7 +153,7 @@ StatusOr<CsvTable> InjectFault(const CsvTable& table, const FaultSpec& spec,
       const std::size_t start = rng->UniformInt(table.num_rows() - len + 1);
       CsvTable out = CopyHeader(table);
       for (std::size_t r = 0; r < table.num_rows(); ++r) {
-        std::vector<std::string> row = table.row(r);
+        std::vector<std::string> row = CopyRow(table, r);
         if (r >= start && r < start + len) row[col] = "nan";
         (void)out.AddRow(std::move(row));
       }
@@ -163,7 +169,7 @@ StatusOr<CsvTable> InjectFault(const CsvTable& table, const FaultSpec& spec,
       }
       CsvTable out = CopyHeader(table);
       for (std::size_t r = 0; r < table.num_rows(); ++r) {
-        std::vector<std::string> row = table.row(r);
+        std::vector<std::string> row = CopyRow(table, r);
         if (hit[r]) row[col] = "-" + row[col];
         (void)out.AddRow(std::move(row));
       }
@@ -192,7 +198,7 @@ StatusOr<CsvTable> InjectFault(const CsvTable& table, const FaultSpec& spec,
       DOPPLER_ASSIGN_OR_RETURN(std::size_t col, TargetColumn(table, spec, rng));
       CsvTable out = CopyHeader(table);
       for (std::size_t r = 0; r < table.num_rows(); ++r) {
-        std::vector<std::string> row = table.row(r);
+        std::vector<std::string> row = CopyRow(table, r);
         row[col] = "0";
         (void)out.AddRow(std::move(row));
       }
@@ -208,7 +214,7 @@ StatusOr<CsvTable> InjectFault(const CsvTable& table, const FaultSpec& spec,
       }
       CsvTable out = CopyHeader(table);
       for (std::size_t r = 0; r < table.num_rows(); ++r) {
-        std::vector<std::string> row = table.row(r);
+        std::vector<std::string> row = CopyRow(table, r);
         if (hit[r]) {
           // Overwrite the cell with garbage printable bytes.
           std::string garbage;

@@ -1,7 +1,6 @@
 #include "sources/counter_mapping.h"
 
 #include <cmath>
-#include <cstdlib>
 #include <map>
 
 #include "util/string_util.h"
@@ -11,11 +10,10 @@ namespace doppler::sources {
 namespace {
 
 // Foreign exports carry physical counters, so a cell must be a finite
-// number; "nan"/"inf" parse under strtod and are rejected here.
+// number; "nan"/"inf" parse under ParseDouble and are rejected here.
 StatusOr<double> ParseNumber(const std::string& text, const std::string& where) {
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  if (end == text.c_str() || !Trim(end).empty()) {
+  double value = 0.0;
+  if (!ParseDouble(text, &value)) {
     return InvalidArgumentError("not a number at " + where + ": '" + text +
                                 "'");
   }

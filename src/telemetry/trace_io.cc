@@ -1,7 +1,6 @@
 #include "telemetry/trace_io.h"
 
 #include <cmath>
-#include <cstdlib>
 
 #include "util/string_util.h"
 
@@ -29,13 +28,12 @@ CsvTable TraceToCsv(const PerfTrace& trace) {
 
 namespace {
 
-// `strtod` happily parses "nan" and "inf", so finiteness is checked here
-// rather than in the parse itself; `context` names the offending cell.
+// `ParseDouble` happily parses "nan" and "inf", so finiteness is checked
+// here rather than in the parse itself; `context` names the offending cell.
 StatusOr<double> ParseNumber(const std::string& text,
                              const std::string& context) {
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  if (end == text.c_str() || !Trim(end).empty()) {
+  double value = 0.0;
+  if (!ParseDouble(text, &value)) {
     return InvalidArgumentError("not a number at " + context + ": '" + text +
                                 "'");
   }
@@ -83,6 +81,10 @@ StatusOr<PerfTrace> TraceFromCsv(const CsvTable& table) {
     if (c == time_col) continue;
     catalog::ResourceDim dim;
     if (!catalog::ParseResourceDim(table.header()[c], &dim)) continue;
+    if (trace.Has(dim)) {
+      return InvalidArgumentError("duplicate column '" + table.header()[c] +
+                                  "'");
+    }
     std::vector<double> values;
     values.reserve(table.num_rows());
     for (std::size_t r = 0; r < table.num_rows(); ++r) {

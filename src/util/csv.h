@@ -1,7 +1,9 @@
 #ifndef DOPPLER_UTIL_CSV_H_
 #define DOPPLER_UTIL_CSV_H_
 
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/status.h"
@@ -12,7 +14,8 @@ namespace doppler {
 /// In-memory CSV document: a header row plus data rows of equal width.
 /// Used for persisting perf traces, assessment results and experiment
 /// outputs; the format is plain RFC-4180 minus quoting (fields in this
-/// library never contain commas or newlines).
+/// library never contain commas or newlines). Cells are stored row-major
+/// in one flat vector.
 class CsvTable {
  public:
   CsvTable() = default;
@@ -27,10 +30,13 @@ class CsvTable {
   /// the header width.
   Status AddRow(std::vector<std::string> row);
 
-  std::size_t num_rows() const { return rows_.size(); }
+  std::size_t num_rows() const { return num_rows_; }
   std::size_t num_columns() const { return header_.size(); }
 
-  const std::vector<std::string>& row(std::size_t i) const { return rows_[i]; }
+  /// The cells of data row `i` (0-based), one per header column.
+  std::span<const std::string> row(std::size_t i) const {
+    return {cells_.data() + i * header_.size(), header_.size()};
+  }
 
   /// Index of the named column, or NOT_FOUND.
   StatusOr<std::size_t> ColumnIndex(const std::string& name) const;
@@ -41,15 +47,21 @@ class CsvTable {
   /// Writes the table to `path`; fails with UNAVAILABLE on IO errors.
   Status WriteFile(const std::string& path) const;
 
-  /// Parses CSV text (first line is the header).
-  static StatusOr<CsvTable> Parse(const std::string& text);
+  /// Parses CSV text (first line is the header). Lines end in LF or CRLF
+  /// (one trailing '\r' per line is dropped), a leading UTF-8 byte-order
+  /// mark is skipped, and blank lines are ignored.
+  static StatusOr<CsvTable> Parse(std::string_view text);
 
   /// Reads and parses the file at `path`.
   static StatusOr<CsvTable> ReadFile(const std::string& path);
 
  private:
+  // Appends the comma-separated cells of `line` as one row.
+  Status AddLine(std::string_view line);
+
   std::vector<std::string> header_;
-  std::vector<std::vector<std::string>> rows_;
+  std::vector<std::string> cells_;  // num_rows_ x header_.size(), row-major.
+  std::size_t num_rows_ = 0;
 };
 
 }  // namespace doppler

@@ -1,8 +1,11 @@
 #include "util/string_util.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <string>
 
 namespace doppler {
 
@@ -38,6 +41,25 @@ std::string_view Trim(std::string_view text) {
     --end;
   }
   return text.substr(begin, end - begin);
+}
+
+bool ParseDouble(std::string_view text, double* value) {
+  const char* const first = text.data();
+  const char* const last = first + text.size();
+  double parsed = 0.0;
+  const std::from_chars_result fast = std::from_chars(first, last, parsed);
+  if (fast.ec == std::errc() && fast.ptr == last && std::isfinite(parsed)) {
+    *value = parsed;
+    return true;
+  }
+  // strtod needs a terminated copy; like strtod itself, the check for
+  // trailing garbage stops at an embedded NUL.
+  const std::string copy(text);
+  char* end = nullptr;
+  parsed = std::strtod(copy.c_str(), &end);
+  if (end == copy.c_str() || !Trim(end).empty()) return false;
+  *value = parsed;
+  return true;
 }
 
 std::string FormatDouble(double value, int decimals) {

@@ -18,6 +18,15 @@ std::string Join(const std::vector<std::string>& parts,
 /// Removes leading and trailing ASCII whitespace.
 std::string_view Trim(std::string_view text);
 
+/// Parses `text` as one double with `strtod`'s grammar: the whole cell
+/// must be consumed, apart from surrounding whitespace. On success stores
+/// the value (which may be NaN or +-Inf; finiteness is the caller's
+/// policy) and returns true; otherwise leaves `*value` alone and returns
+/// false. Plain decimal cells take a `std::from_chars` fast path, which is
+/// bit-identical to `strtod` on every finite result; anything else
+/// (whitespace, '+', hex, nan/inf, out-of-range) goes through `strtod`.
+bool ParseDouble(std::string_view text, double* value);
+
 /// printf-style double formatting with a fixed number of decimals.
 std::string FormatDouble(double value, int decimals);
 

@@ -1,6 +1,7 @@
 // Tests for the capacity-forecast module and the command-line front-end.
 
 #include <algorithm>
+#include <fstream>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -236,6 +237,54 @@ TEST_F(CliFlowTest, FitProfilesThenAssessFromFiles) {
   // No on-the-fly fitting message: profiles came from the file.
   EXPECT_EQ(report.find("fitting the group model offline"),
             std::string::npos);
+}
+
+// The human report minus its wall-clock stage-timings line.
+std::string ReportWithoutTimings(const std::string& report) {
+  std::istringstream in(report);
+  std::string line;
+  std::string kept;
+  while (std::getline(in, line)) {
+    if (line.rfind("Stage timings:", 0) == 0) continue;
+    kept += line + "\n";
+  }
+  return kept;
+}
+
+TEST_F(CliFlowTest, CrlfAndByteOrderMarkTracesReportLikeLf) {
+  std::ostringstream fit;
+  ASSERT_EQ(dma::CliMain({"fit-profiles", "--deployment", "db",
+                          "--customers", "40", "--seed", "3", "--out",
+                          TempPath("cli_eol_prof.csv")},
+                         fit),
+            0);
+  // Its own trace files: ctest runs each test of the suite in a separate
+  // process, and those rewrite the shared cli_trace.csv concurrently.
+  const std::string lf =
+      telemetry::TraceToCsv(GrowingTrace(0.0, 41)).ToString();
+  std::string crlf;
+  for (char c : lf) {
+    if (c == '\n') crlf += '\r';
+    crlf += c;
+  }
+  std::ofstream(TempPath("cli_eol_lf.csv"), std::ios::binary) << lf;
+  std::ofstream(TempPath("cli_eol_crlf.csv"), std::ios::binary) << crlf;
+  std::ofstream(TempPath("cli_eol_bom.csv"), std::ios::binary)
+      << "\xEF\xBB\xBF" << lf;
+
+  auto assess = [](const std::string& trace) {
+    std::ostringstream out;
+    EXPECT_EQ(dma::CliMain({"assess", "--trace", trace, "--profiles",
+                            TempPath("cli_eol_prof.csv")},
+                           out),
+              0)
+        << out.str();
+    return ReportWithoutTimings(out.str());
+  };
+  const std::string want = assess(TempPath("cli_eol_lf.csv"));
+  EXPECT_NE(want.find("Doppler recommendation"), std::string::npos);
+  EXPECT_EQ(assess(TempPath("cli_eol_crlf.csv")), want);
+  EXPECT_EQ(assess(TempPath("cli_eol_bom.csv")), want);
 }
 
 TEST_F(CliFlowTest, AssessRequiresTrace) {

@@ -134,6 +134,61 @@ TEST(GateTraceCsvTest, NoResourceColumnsRejected) {
             StatusCode::kInvalidArgument);
 }
 
+TEST(GateTraceCsvTest, DuplicatedDimensionColumnRejected) {
+  CsvTable table({"t_seconds", "cpu", "cpu", "iops"});
+  (void)table.AddRow({"0", "1", "2", "100"});
+  (void)table.AddRow({"600", "1", "2", "100"});
+  for (QualityPolicy policy :
+       {QualityPolicy::kStrict, QualityPolicy::kRepair,
+        QualityPolicy::kPermissive}) {
+    const Status status = GateTraceCsv(table, Policy(policy)).status();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(status.message(), "duplicate column 'cpu'");
+  }
+}
+
+// The same trace as LF, CRLF and BOM-prefixed text gates to the same
+// series and the same report: no CR may stay on the last header cell
+// (dropping that column) and no BOM may hide t_seconds.
+TEST(GateTraceCsvTest, CrlfAndByteOrderMarkGateLikeLf) {
+  CsvTable table({"t_seconds", "cpu", "memory", "iops"});
+  for (std::size_t i = 0; i < 36; ++i) {
+    if (i == 7) continue;  // A gap for the repair path.
+    (void)table.AddRow({std::to_string(i * telemetry::kDmaIntervalSeconds),
+                        i == 11 ? "nan" : FormatDouble(0.5 + 0.1 * i, 3),
+                        "4.0", std::to_string(100 + 15 * (i % 11))});
+  }
+  const std::string lf = table.ToString();
+  std::string crlf;
+  for (char c : lf) {
+    if (c == '\n') crlf += '\r';
+    crlf += c;
+  }
+  GateOptions options;
+  options.expected_dims = {ResourceDim::kCpu, ResourceDim::kMemoryGb,
+                           ResourceDim::kIops};
+  StatusOr<CsvTable> lf_table = CsvTable::Parse(lf);
+  ASSERT_TRUE(lf_table.ok());
+  StatusOr<GatedTrace> want = GateTraceCsv(*lf_table, options);
+  ASSERT_TRUE(want.ok());
+  ASSERT_FALSE(want->report.degraded);
+  for (const std::string& text : {crlf, "\xEF\xBB\xBF" + lf}) {
+    StatusOr<CsvTable> parsed = CsvTable::Parse(text);
+    ASSERT_TRUE(parsed.ok());
+    StatusOr<GatedTrace> got = GateTraceCsv(*parsed, options);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(got->trace.PresentDims(), want->trace.PresentDims());
+    for (ResourceDim dim : want->trace.PresentDims()) {
+      EXPECT_EQ(got->trace.Values(dim), want->trace.Values(dim));
+    }
+    EXPECT_EQ(got->trace.interval_seconds(), want->trace.interval_seconds());
+    EXPECT_EQ(got->report.Summary(), want->report.Summary());
+    EXPECT_EQ(got->report.missing_dims, want->report.missing_dims);
+    EXPECT_EQ(got->report.samples_in, want->report.samples_in);
+    EXPECT_EQ(got->report.samples_out, want->report.samples_out);
+  }
+}
+
 TEST(GateTraceCsvTest, TooFewSamplesRejected) {
   EXPECT_EQ(GateTraceCsv(CleanTable(1), GateOptions()).status().code(),
             StatusCode::kInvalidArgument);

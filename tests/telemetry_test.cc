@@ -304,6 +304,15 @@ TEST(TraceIoTest, NonIncreasingTimeRejected) {
   EXPECT_FALSE(TraceFromCsv(table).ok());
 }
 
+TEST(TraceIoTest, DuplicatedDimensionColumnRejected) {
+  CsvTable table({"t_seconds", "cpu", "iops", "cpu"});
+  ASSERT_TRUE(table.AddRow({"0", "1", "100", "2"}).ok());
+  ASSERT_TRUE(table.AddRow({"600", "1", "100", "2"}).ok());
+  const Status status = TraceFromCsv(table).status();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(status.message(), "duplicate column 'cpu'");
+}
+
 TEST(TraceIoTest, NoKnownColumnsRejected) {
   CsvTable table({"t_seconds", "mystery"});
   ASSERT_TRUE(table.AddRow({"0", "1"}).ok());

@@ -2,6 +2,11 @@
 // plots.
 
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <random>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -330,6 +335,94 @@ TEST(StringUtilTest, StartsWith) {
   EXPECT_FALSE(StartsWith("DB", "DB_GP"));
 }
 
+// ---------------------------------------------------------- ParseDouble.
+
+// The contract ParseDouble replaced: strtod, and nothing but whitespace
+// after the number.
+bool StrtodReference(const std::string& text, double* value) {
+  char* end = nullptr;
+  const double parsed = std::strtod(text.c_str(), &end);
+  if (end == text.c_str() || !Trim(end).empty()) return false;
+  *value = parsed;
+  return true;
+}
+
+// Both parsers agree on accept/reject and, when both accept, on every bit
+// of the value (NaN payloads and the sign of zero included).
+::testing::AssertionResult AgreesWithStrtod(const std::string& text) {
+  double expected = 0.0;
+  double actual = 0.0;
+  const bool want = StrtodReference(text, &expected);
+  const bool got = ParseDouble(text, &actual);
+  if (want != got) {
+    return ::testing::AssertionFailure()
+           << "'" << text << "': strtod " << (want ? "accepts" : "rejects")
+           << ", ParseDouble " << (got ? "accepts" : "rejects");
+  }
+  if (want && std::memcmp(&expected, &actual, sizeof(double)) != 0) {
+    return ::testing::AssertionFailure()
+           << "'" << text << "': strtod " << expected << ", ParseDouble "
+           << actual;
+  }
+  return ::testing::AssertionSuccess();
+}
+
+std::string Printf(const char* format, int digits, double value) {
+  char buffer[512];
+  std::snprintf(buffer, sizeof(buffer), format, digits, value);
+  return buffer;
+}
+
+TEST(ParseDoubleTest, EdgeCorpusMatchesStrtod) {
+  const char* corpus[] = {
+      "0", "1", "-1", "1.5", "+1.5", " 1.5", "1.5 ", "\t1.5\n", "  -2e3  ",
+      "0x10", "0X1p4", "1.", ".5", ".", "-", "+", "e5", "1e", "1e+", "1e-",
+      "1e5", "1E5", "-0", "-0.0", "0.0", "1e400", "-1e400", "1e-400",
+      "4.9e-324", "2.4e-324", "2.5e-324", "2.2250738585072011e-308",
+      "2.2250738585072014e-308", "1.7976931348623157e308",
+      "1.7976931348623159e308", "nan", "NaN", "-nan", "nan(123)",
+      "nan(0x7)", "inf", "-inf", "Inf", "Infinity", "-infinity", "infin",
+      "1,5", "1.5.2", "1e5e5", "12abc", "abc", "", " ", "\r", "1.5\r",
+      "12345678901234567", "1.2345678901234567", "0.30000000000000004",
+      "9007199254740993", "9007199254740992.5",
+      "123456789012345678901234567890", "0.000000000000000000000000000001",
+      "00000000000000000001.5", "1_000", "--1", "1 2"};
+  for (const char* text : corpus) EXPECT_TRUE(AgreesWithStrtod(text));
+  // An embedded NUL ends strtod's view of the cell, so both accept it.
+  EXPECT_TRUE(AgreesWithStrtod(std::string("1.5\0junk", 8)));
+}
+
+TEST(ParseDoubleTest, LeavesValueAloneOnReject) {
+  double value = 42.0;
+  EXPECT_FALSE(ParseDouble("1,5", &value));
+  EXPECT_FALSE(ParseDouble("", &value));
+  EXPECT_EQ(value, 42.0);
+  EXPECT_TRUE(ParseDouble("nan", &value));
+  EXPECT_TRUE(std::isnan(value));
+  EXPECT_TRUE(ParseDouble("-0", &value));
+  EXPECT_TRUE(std::signbit(value));
+}
+
+TEST(ParseDoubleTest, SeededFormattedDoublesMatchStrtod) {
+  std::mt19937_64 gen(20261017);
+  std::uniform_real_distribution<double> mantissa(-10.0, 10.0);
+  std::uniform_int_distribution<int> exponent(-30, 30);
+  std::uniform_int_distribution<int> digits(0, 20);
+  for (int i = 0; i < 50000; ++i) {
+    const double value = mantissa(gen) * std::pow(10.0, exponent(gen));
+    ASSERT_TRUE(AgreesWithStrtod(Printf("%.*f", digits(gen), value)));
+    ASSERT_TRUE(AgreesWithStrtod(Printf("%.*e", digits(gen), value)));
+  }
+  // %.17g over random bit patterns: subnormals, huge exponents, NaN and
+  // Inf included.
+  for (int i = 0; i < 100000; ++i) {
+    const std::uint64_t bits = gen();
+    double value = 0.0;
+    std::memcpy(&value, &bits, sizeof(value));
+    ASSERT_TRUE(AgreesWithStrtod(Printf("%.*g", 17, value)));
+  }
+}
+
 // ------------------------------------------------------------------- CSV.
 
 TEST(CsvTest, RowWidthIsEnforced) {
@@ -359,6 +452,55 @@ TEST(CsvTest, ColumnIndexLookup) {
 
 TEST(CsvTest, ParseRejectsEmptyDocument) {
   EXPECT_EQ(CsvTable::Parse("").status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(CsvTest, ParseKeepsLastLineWithoutTrailingNewline) {
+  StatusOr<CsvTable> parsed = CsvTable::Parse("a,b\n1,2\n3,4");
+  ASSERT_TRUE(parsed.ok());
+  ASSERT_EQ(parsed->num_rows(), 2u);
+  EXPECT_EQ(parsed->row(1)[1], "4");
+}
+
+TEST(CsvTest, ParseSkipsBlankLines) {
+  StatusOr<CsvTable> parsed = CsvTable::Parse("a,b\n\n1,2\n\n\n3,4\n\n");
+  ASSERT_TRUE(parsed.ok());
+  ASSERT_EQ(parsed->num_rows(), 2u);
+  EXPECT_EQ(parsed->row(0)[0], "1");
+  EXPECT_EQ(parsed->row(1)[0], "3");
+}
+
+TEST(CsvTest, ParseRowWidthErrorMessageUnchanged) {
+  const Status narrow = CsvTable::Parse("a,b\n1,2\n3\n").status();
+  EXPECT_EQ(narrow.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(narrow.message(), "row width 1 != header width 2");
+  const Status wide = CsvTable::Parse("a,b\n1,2,3\n").status();
+  EXPECT_EQ(wide.message(), "row width 3 != header width 2");
+  CsvTable table({"a", "b"});
+  EXPECT_EQ(table.AddRow({"1"}).message(), "row width 1 != header width 2");
+  EXPECT_EQ(table.num_rows(), 0u);
+}
+
+TEST(CsvTest, ParseAcceptsCrlfAndByteOrderMark) {
+  const std::string lf = "t_seconds,cpu,iops\n0,1.5,640\n600,1.8,700\n";
+  std::string crlf;
+  for (char c : lf) {
+    if (c == '\n') crlf += '\r';
+    crlf += c;
+  }
+  StatusOr<CsvTable> want = CsvTable::Parse(lf);
+  ASSERT_TRUE(want.ok());
+  for (const std::string& text :
+       {crlf, "\xEF\xBB\xBF" + lf, "\xEF\xBB\xBF" + crlf}) {
+    StatusOr<CsvTable> got = CsvTable::Parse(text);
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(got->header(), want->header());
+    EXPECT_EQ(got->ToString(), want->ToString());
+  }
+  // Only one CR per line goes, and only at its end; a BOM elsewhere stays.
+  StatusOr<CsvTable> odd = CsvTable::Parse("a\r\r\nx\xEF\xBB\xBF\r\n");
+  ASSERT_TRUE(odd.ok());
+  EXPECT_EQ(odd->header()[0], "a\r");
+  EXPECT_EQ(odd->row(0)[0], "x\xEF\xBB\xBF");
 }
 
 TEST(CsvTest, FileRoundTrip) {

@@ -2,7 +2,10 @@
 # Repo hygiene + sanitizer gate:
 #   1. fails if generated build trees are tracked by git,
 #   2. builds with AddressSanitizer + UBSan and runs the full tier-1 suite,
-#   3. builds with ThreadSanitizer and runs the obs concurrency tests, the
+#   3. builds the end-to-end benchmark (perfbench/, Release, under
+#      <build-dir>/perfbench) and runs its unit tests, so a library API
+#      change that breaks the benchmark's build fails here,
+#   4. builds with ThreadSanitizer and runs the obs concurrency tests, the
 #      exec thread-pool / fleet determinism suite, the compiled-catalog
 #      / staged-pipeline suites (many workers reading the one shared
 #      compiled snapshot), the exceedance-index suite (shared memo under
@@ -102,6 +105,12 @@ DOPPLER_KERNEL=scalar "${build_dir}/tests/kernel_test"
 DOPPLER_KERNEL=scalar "${build_dir}/tests/exceedance_index_test"
 DOPPLER_KERNEL=scalar "${build_dir}/tests/stream_test"
 DOPPLER_KERNEL=scalar "${build_dir}/tests/property_test"
+
+# The benchmark links the library from source; run.py builds it (into
+# $CARGO_TARGET_DIR) and runs its own unit tests. run.py resolves paths
+# from the working directory, so it runs from the repository root.
+(cd "${repo_root}" &&
+  CARGO_TARGET_DIR="${build_dir}/perfbench" python3 perfbench/run.py --unit-tests)
 
 # ThreadSanitizer pass over the concurrency-sensitive suites: the
 # lock-free metrics/tracer tests and the exec thread-pool / parallel fleet
