@@ -169,7 +169,6 @@ int main() {
       StatusOr<core::PricePerformanceCurve> curve =
           core::PricePerformanceCurve::Build(mi_trace, filtered->candidates,
                                              compiled.pricing(), estimator,
-                                             nullptr, nullptr,
                                              &compiled.target());
       if (curve.ok()) {
         StatusOr<core::PricePerformancePoint> best =

@@ -59,9 +59,7 @@ using catalog::ResourceDim;
 // work done per curve fail deterministically.
 constexpr const char* kCostCounters[] = {
     "ppm.samples_scanned",
-    "ppm.index_hits",
-    "ppm.index_misses",
-    "ppm.index_union_words",
+    "stats.rows_sorted",
     "stream.rows_patched",
     "stream.index_hits",
     "stream.index_misses",
@@ -235,66 +233,6 @@ void BM_CurveKde(benchmark::State& state) {
 }
 BENCHMARK(BM_CurveKde)->Arg(7)->Arg(30)->Unit(benchmark::kMillisecond);
 
-// ---- Amortized exceedance index (DESIGN.md §9): the batch curve
-// evaluator vs the per-SKU columnar scan it replaced, over the full DB
-// catalog. Same probabilities bit for bit; the counters quantify the work
-// collapse — the scan charges ppm.samples_scanned per column visited per
-// candidate, the index only per distinct (dimension, capacity) bitset it
-// materialises, then answers every candidate by word-OR + popcount
-// (ppm.index_union_words).
-
-std::vector<catalog::ResourceVector> CatalogCapacities() {
-  std::vector<catalog::ResourceVector> capacities;
-  for (const catalog::Sku& sku :
-       Catalog().ForDeployment(catalog::Deployment::kSqlDb)) {
-    capacities.push_back(sku.Capacities());
-  }
-  return capacities;
-}
-
-void BM_ExceedanceIndexBatch(benchmark::State& state) {
-  const telemetry::PerfTrace trace =
-      MakeTrace(static_cast<int>(state.range(0)), 2);
-  const core::NonParametricEstimator estimator;
-  const std::vector<catalog::ResourceVector> capacities = CatalogCapacities();
-  const auto before = SnapshotCostCounters();
-  for (auto _ : state) {
-    StatusOr<std::vector<double>> probabilities =
-        estimator.EstimateCurveProbabilities(trace, capacities);
-    if (!probabilities.ok()) std::abort();
-    benchmark::DoNotOptimize(probabilities);
-  }
-  ReportCostCounters(state, before);
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(capacities.size()));
-  state.SetLabel(std::to_string(capacities.size()) + " SKUs, memoized bitsets");
-}
-BENCHMARK(BM_ExceedanceIndexBatch)->Arg(7)->Arg(30)->Unit(benchmark::kMicrosecond);
-
-void BM_ExceedanceIndexScalarScan(benchmark::State& state) {
-  const telemetry::PerfTrace trace =
-      MakeTrace(static_cast<int>(state.range(0)), 2);
-  const core::NonParametricEstimator estimator;
-  const std::vector<catalog::ResourceVector> capacities = CatalogCapacities();
-  const auto before = SnapshotCostCounters();
-  for (auto _ : state) {
-    for (const catalog::ResourceVector& candidate : capacities) {
-      StatusOr<double> probability = estimator.Probability(trace, candidate);
-      if (!probability.ok()) std::abort();
-      benchmark::DoNotOptimize(probability);
-    }
-  }
-  ReportCostCounters(state, before);
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(capacities.size()));
-  state.SetLabel(std::to_string(capacities.size()) +
-                 " SKUs, per-candidate column scan");
-}
-BENCHMARK(BM_ExceedanceIndexScalarScan)
-    ->Arg(7)
-    ->Arg(30)
-    ->Unit(benchmark::kMicrosecond);
-
 // ---- Kernel-layer microbenches (DESIGN.md §15): the dispatched SIMD
 // variant against its forced-scalar twin, same data, same process. The
 // bench gate (tools/check.sh --bench) locks the union pair's wall-time
@@ -440,16 +378,17 @@ void BM_EndToEndRecommendation(benchmark::State& state) {
 }
 BENCHMARK(BM_EndToEndRecommendation)->Unit(benchmark::kMillisecond);
 
-// ---- Full pipeline assessment with observability on/off and the SKU
-// curve fan-out at 1/2/8 threads.
+// ---- Full pipeline assessment with observability on/off and the
+// pipeline pool at 1/2/8 threads.
 //
 // Args are {tracing, threads}. tracing=0 runs with trace buffering
 // disabled (the production default: spans still feed latency histograms,
 // counters still tick), tracing=1 with the trace buffer enabled;
 // comparing the two quantifies the instrumentation overhead (acceptance
-// bar <2% with export disabled). The threads axis exercises the exec
-// layer's per-SKU parallel curve build — the report is byte-identical at
-// every setting, only the wall time may move.
+// bar <2% with export disabled). The threads axis sizes the pipeline's
+// pool, which only the confidence bootstrap fans out on; these requests
+// ask for no confidence, so the curve runs serially on the calling thread
+// at every setting and the axis shows the pool costs nothing when idle.
 
 void BM_PipelineAssess(benchmark::State& state) {
   const bool tracing = state.range(0) != 0;
@@ -519,7 +458,7 @@ void BM_CompiledAssess(benchmark::State& state) {
 BENCHMARK(BM_CompiledAssess)->Arg(1)->Arg(8)->Unit(benchmark::kMillisecond);
 
 // ---- Fleet assessment: an 8-customer batch through FleetAssessor at
-// jobs = 1/2/8, pipeline SKU fan-out matched to the job count the way
+// jobs = 1/2/8, the pipeline pool sized to the job count the way
 // `doppler assess-batch --jobs N` wires it.
 
 void BM_FleetAssess(benchmark::State& state) {

@@ -50,15 +50,6 @@ CompiledCatalog CompiledCatalog::Compile(SkuCatalog catalog,
       for (const CompiledEntry& entry : deployment.entries_) {
         row.push_back(entry.capacities.Get(dim));
       }
-      // Sorted-unique view of the row: the per-dimension capacity
-      // vocabulary the exceedance-index memo is keyed by.
-      std::vector<double>& distinct =
-          deployment.distinct_capacities_[static_cast<std::size_t>(
-              static_cast<int>(dim))];
-      distinct.assign(row.begin(), row.end());
-      std::sort(distinct.begin(), distinct.end());
-      distinct.erase(std::unique(distinct.begin(), distinct.end()),
-                     distinct.end());
     }
   }
   return compiled;

@@ -82,23 +82,11 @@ class CompiledDeployment {
     return capacity_rows_[static_cast<std::size_t>(static_cast<int>(dim))];
   }
 
-  /// The DISTINCT values of CapacityRow(dim), ascending. This is the
-  /// capacity sharing the exceedance index (DESIGN.md §9) amortises over:
-  /// a full-deployment curve build materialises at most this many bitsets
-  /// per dimension, however many candidates price the dimension. Catalogs
-  /// quantise capacities into service tiers, so the table is typically far
-  /// smaller than the candidate count (the bench reports the ratio).
-  const std::vector<double>& DistinctCapacities(ResourceDim dim) const {
-    return distinct_capacities_[static_cast<std::size_t>(
-        static_cast<int>(dim))];
-  }
-
  private:
   friend class CompiledCatalog;
 
   std::vector<CompiledEntry> entries_;
   std::array<AlignedVector<double>, kNumResourceDims> capacity_rows_;
-  std::array<std::vector<double>, kNumResourceDims> distinct_capacities_;
   /// Back-pointer to the owning snapshot's target spec, stamped into every
   /// view handed out.
   const TargetSpec* target_ = nullptr;

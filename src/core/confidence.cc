@@ -1,7 +1,9 @@
 #include "core/confidence.h"
 
 #include <algorithm>
+#include <vector>
 
+#include "exec/thread_pool.h"
 #include "stats/bootstrap.h"
 
 namespace doppler::core {
@@ -9,7 +11,8 @@ namespace doppler::core {
 StatusOr<ConfidenceResult> ScoreConfidence(const telemetry::PerfTrace& trace,
                                            const RecommendFn& recommend,
                                            const ConfidenceOptions& options,
-                                           Rng* rng) {
+                                           Rng* rng,
+                                           exec::ThreadPool* executor) {
   if (!recommend) return InvalidArgumentError("recommend function not set");
   if (rng == nullptr) return InvalidArgumentError("rng must not be null");
   if (options.runs <= 0) return InvalidArgumentError("runs must be positive");
@@ -24,9 +27,12 @@ StatusOr<ConfidenceResult> ScoreConfidence(const telemetry::PerfTrace& trace,
       1, static_cast<std::size_t>(options.window_days * 86400.0 /
                                   static_cast<double>(trace.interval_seconds())));
 
+  // Every run's indices are drawn up front: the draws are the only RNG
+  // use, so they stay in the serial order whatever runs the reruns.
+  const std::size_t runs = static_cast<std::size_t>(options.runs);
+  std::vector<std::vector<std::size_t>> draws(runs);
   stats::Bootstrap bootstrap(trace.num_samples(), rng);
-  for (int run = 0; run < options.runs; ++run) {
-    std::vector<std::size_t> indices;
+  for (std::vector<std::size_t>& indices : draws) {
     switch (options.scheme) {
       case BootstrapScheme::kWindow:
         indices = bootstrap.SampleWindow(window_samples);
@@ -35,15 +41,26 @@ StatusOr<ConfidenceResult> ScoreConfidence(const telemetry::PerfTrace& trace,
         indices = bootstrap.SampleWithReplacement(trace.num_samples());
         break;
     }
-    const telemetry::PerfTrace resampled = trace.Select(indices);
-    StatusOr<Recommendation> rerun = recommend(resampled);
-    // A failing bootstrap run (e.g. a degenerate window) counts as a
-    // non-matching run: it is evidence the recommendation is unstable.
-    ++result.runs;
-    if (rerun.ok() && rerun->sku.id == result.original.sku.id) {
-      ++result.matching_runs;
-    }
   }
+
+  std::vector<unsigned char> matches(runs, 0);
+  const auto rerun_range = [&](std::size_t begin, std::size_t end) {
+    for (std::size_t run = begin; run < end; ++run) {
+      const telemetry::PerfTrace resampled = trace.Select(draws[run]);
+      StatusOr<Recommendation> rerun = recommend(resampled);
+      // A failing bootstrap run (e.g. a degenerate window) counts as a
+      // non-matching run: it is evidence the recommendation is unstable.
+      matches[run] = rerun.ok() && rerun->sku.id == result.original.sku.id;
+    }
+  };
+  if (executor != nullptr && runs > 1) {
+    executor->ParallelFor(runs, rerun_range);
+  } else {
+    rerun_range(0, runs);
+  }
+
+  result.runs = options.runs;
+  for (unsigned char match : matches) result.matching_runs += match;
   result.score =
       static_cast<double>(result.matching_runs) / static_cast<double>(result.runs);
   return result;

@@ -8,6 +8,10 @@
 #include "util/random.h"
 #include "util/statusor.h"
 
+namespace doppler::exec {
+class ThreadPool;
+}
+
 namespace doppler::core {
 
 /// A recommendation procedure to bootstrap: trace in, recommendation out.
@@ -50,14 +54,21 @@ struct ConfidenceResult {
 /// Object-identity guarantee: the original run invokes `recommend` with
 /// the caller's `trace` object itself; every bootstrap run passes a
 /// freshly materialised resample. Callers may therefore compare addresses
-/// to reuse per-trace memoized state (sorted series, argsort, exceedance
-/// bitsets) for the original run only — the pipeline's confidence stage
-/// does exactly that. Resamples must NOT share that state: their row
-/// order and multiset differ.
-StatusOr<ConfidenceResult> ScoreConfidence(const telemetry::PerfTrace& trace,
-                                           const RecommendFn& recommend,
-                                           const ConfidenceOptions& options,
-                                           Rng* rng);
+/// to reuse per-trace memoized state (sorted series) for the original run
+/// only — the pipeline's confidence stage does exactly that. Resamples
+/// must NOT share that state: their row order and multiset differ.
+///
+/// Parallelism: the original recommendation runs first, then every run's
+/// resample indices are drawn, serially, in the RNG order a serial loop
+/// uses. With a non-null `executor` the runs are then evaluated across the
+/// pool (the calling thread working alongside), each writing its own match
+/// flag by index, and the flags are counted in run order — so the result
+/// is identical at any pool size. `recommend` must then be safe to call
+/// concurrently; the pipeline's elastic recommenders are.
+StatusOr<ConfidenceResult> ScoreConfidence(
+    const telemetry::PerfTrace& trace, const RecommendFn& recommend,
+    const ConfidenceOptions& options, Rng* rng,
+    exec::ThreadPool* executor = nullptr);
 
 }  // namespace doppler::core
 

@@ -44,8 +44,7 @@ struct PricePerformanceCurve::CompiledSpan {
 StatusOr<PricePerformanceCurve> PricePerformanceCurve::BuildCompiled(
     const telemetry::PerfTrace& trace, const CompiledSpan& span,
     const catalog::PricingService& pricing,
-    const ThrottlingEstimator& estimator, exec::ThreadPool* executor,
-    const telemetry::TraceStatsCache* stats) {
+    const ThrottlingEstimator& estimator, exec::ThreadPool* executor) {
   if (span.count == 0) {
     return InvalidArgumentError("no candidate SKUs for curve building");
   }
@@ -72,9 +71,8 @@ StatusOr<PricePerformanceCurve> PricePerformanceCurve::BuildCompiled(
   const catalog::RepriceForTraceFn reprice =
       span.target != nullptr ? span.target->reprice_for_trace : nullptr;
 
-  // Batch scoring over the memoized capacity vectors (with the MI route's
-  // per-candidate IOPS overrides applied first); see the Candidate overload
-  // for the determinism rationale.
+  // One scan per candidate over the memoized capacity vectors (with the MI
+  // route's per-candidate IOPS overrides applied first).
   std::vector<catalog::ResourceVector> capacity_vectors;
   capacity_vectors.reserve(span.count);
   for (std::size_t i = 0; i < span.count; ++i) {
@@ -86,7 +84,7 @@ StatusOr<PricePerformanceCurve> PricePerformanceCurve::BuildCompiled(
   }
   DOPPLER_ASSIGN_OR_RETURN(const std::vector<double> probabilities,
                            estimator.EstimateCurveProbabilities(
-                               trace, capacity_vectors, executor, stats));
+                               trace, capacity_vectors, executor));
 
   PricePerformanceCurve curve;
   std::vector<PricePerformancePoint>& points = curve.points_;
@@ -132,27 +130,24 @@ StatusOr<PricePerformanceCurve> PricePerformanceCurve::BuildCompiled(
 StatusOr<PricePerformanceCurve> PricePerformanceCurve::Build(
     const telemetry::PerfTrace& trace, catalog::CompiledView candidates,
     const catalog::PricingService& pricing,
-    const ThrottlingEstimator& estimator, exec::ThreadPool* executor,
-    const telemetry::TraceStatsCache* stats) {
+    const ThrottlingEstimator& estimator, exec::ThreadPool* executor) {
   CompiledSpan span;
   span.entries = candidates.begin();
   span.count = candidates.size();
   span.target = candidates.target();
-  return BuildCompiled(trace, span, pricing, estimator, executor, stats);
+  return BuildCompiled(trace, span, pricing, estimator, executor);
 }
 
 StatusOr<PricePerformanceCurve> PricePerformanceCurve::Build(
     const telemetry::PerfTrace& trace,
     const std::vector<CompiledCandidateRef>& candidates,
     const catalog::PricingService& pricing,
-    const ThrottlingEstimator& estimator, exec::ThreadPool* executor,
-    const telemetry::TraceStatsCache* stats,
-    const catalog::TargetSpec* target) {
+    const ThrottlingEstimator& estimator, const catalog::TargetSpec* target) {
   CompiledSpan span;
   span.refs = candidates.data();
   span.count = candidates.size();
   span.target = target;
-  return BuildCompiled(trace, span, pricing, estimator, executor, stats);
+  return BuildCompiled(trace, span, pricing, estimator, /*executor=*/nullptr);
 }
 
 CurveShape PricePerformanceCurve::Classify(double epsilon) const {

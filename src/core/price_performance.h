@@ -9,7 +9,6 @@
 #include "catalog/sku.h"
 #include "core/throttling.h"
 #include "telemetry/perf_trace.h"
-#include "telemetry/trace_stats.h"
 #include "util/statusor.h"
 
 namespace doppler::exec {
@@ -64,31 +63,30 @@ class PricePerformanceCurve {
   /// price, id) order — no per-request sort unless the view's target
   /// repriced a candidate against the trace (TargetSpec::reprice_for_trace,
   /// e.g. usage-billed serverless SKUs). Fails when the candidate list or
-  /// trace is empty, or when estimation fails. Scoring goes through the
-  /// estimator's batch API (ThrottlingEstimator::EstimateCurveProbabilities):
-  /// with a non-null `executor` candidates are partitioned across the pool
-  /// (each one is scored into its own slot by index, so the result is
-  /// bit-identical to the serial path at any thread count), and a non-null
-  /// `stats` cache over this trace lets index-backed estimators reuse its
-  /// memoized argsort instead of re-sorting.
+  /// trace is empty, or when estimation fails. Each candidate is scored by
+  /// one Probability call — for the production estimator a plain columnar
+  /// scan (paper §3.2, O(n·d) per SKU) — serially on the calling thread.
+  /// A non-null `executor` partitions the candidates across the pool
+  /// instead (each scored into its own slot by index, so the result is
+  /// bit-identical at any thread count); no production caller passes one,
+  /// because a per-SKU scan is too small a grain to pay for the fan-out
+  /// (DESIGN.md §9).
   static StatusOr<PricePerformanceCurve> Build(
       const telemetry::PerfTrace& trace, catalog::CompiledView candidates,
       const catalog::PricingService& pricing,
       const ThrottlingEstimator& estimator,
-      exec::ThreadPool* executor = nullptr,
-      const telemetry::TraceStatsCache* stats = nullptr);
+      exec::ThreadPool* executor = nullptr);
 
   /// Compiled-snapshot path over a filtered subset (the MI route, where
-  /// each candidate carries a layout-derived IOPS override). `candidates`
-  /// must preserve the compiled view's relative order. `target` supplies
-  /// the per-trace repricing hook (nullptr = no repricing).
+  /// each candidate carries a layout-derived IOPS override), scored
+  /// serially. `candidates` must preserve the compiled view's relative
+  /// order. `target` supplies the per-trace repricing hook (nullptr = no
+  /// repricing).
   static StatusOr<PricePerformanceCurve> Build(
       const telemetry::PerfTrace& trace,
       const std::vector<CompiledCandidateRef>& candidates,
       const catalog::PricingService& pricing,
       const ThrottlingEstimator& estimator,
-      exec::ThreadPool* executor = nullptr,
-      const telemetry::TraceStatsCache* stats = nullptr,
       const catalog::TargetSpec* target = nullptr);
 
   /// Points ordered by ascending monthly price.
@@ -130,8 +128,7 @@ class PricePerformanceCurve {
   static StatusOr<PricePerformanceCurve> BuildCompiled(
       const telemetry::PerfTrace& trace, const CompiledSpan& span,
       const catalog::PricingService& pricing,
-      const ThrottlingEstimator& estimator, exec::ThreadPool* executor,
-      const telemetry::TraceStatsCache* stats);
+      const ThrottlingEstimator& estimator, exec::ThreadPool* executor);
 
   std::vector<PricePerformancePoint> points_;
 };

@@ -71,7 +71,7 @@ StatusOr<Recommendation> ElasticRecommender::RecommendDb(
   DOPPLER_ASSIGN_OR_RETURN(
       PricePerformanceCurve curve,
       PricePerformanceCurve::Build(trace, candidates, compiled_->pricing(),
-                                   *estimator_, executor_, stats));
+                                   *estimator_));
   return SelectFromCurve(std::move(curve), trace, stats);
 }
 
@@ -85,7 +85,7 @@ StatusOr<Recommendation> ElasticRecommender::RecommendMi(
       PricePerformanceCurve curve,
       PricePerformanceCurve::Build(trace, filtered.candidates,
                                    compiled_->pricing(), *estimator_,
-                                   executor_, stats, &compiled_->target()));
+                                   &compiled_->target()));
   DOPPLER_ASSIGN_OR_RETURN(Recommendation recommendation,
                            SelectFromCurve(std::move(curve), trace, stats));
   if (filtered.restricted_to_bc) {

@@ -17,10 +17,6 @@
 #include "telemetry/trace_stats.h"
 #include "util/statusor.h"
 
-namespace doppler::exec {
-class ThreadPool;
-}
-
 namespace doppler::core {
 
 /// The full answer Doppler surfaces for one workload: the optimal SKU plus
@@ -77,12 +73,8 @@ class ElasticRecommender {
                      const CustomerProfiler* profiler,
                      const GroupModel* group_model);
 
-  /// Optional execution pool for the per-SKU curve build; nullptr (the
-  /// default) keeps the serial path. The pool is borrowed and must outlive
-  /// the recommender. Results are bit-identical with or without it.
-  void SetExecutor(exec::ThreadPool* executor) { executor_ = executor; }
-
-  /// Recommendation for a workload migrating to Azure SQL DB. A non-null
+  /// Recommendation for a workload migrating to Azure SQL DB. The curve is
+  /// scored serially on the calling thread (DESIGN.md §9). A non-null
   /// `stats` cache (built over the same trace) is reused for profiling.
   StatusOr<Recommendation> RecommendDb(
       const telemetry::PerfTrace& trace,
@@ -109,7 +101,6 @@ class ElasticRecommender {
   const ThrottlingEstimator* estimator_;
   const CustomerProfiler* profiler_;
   const GroupModel* group_model_;
-  exec::ThreadPool* executor_ = nullptr;
   Options options_;
 };
 

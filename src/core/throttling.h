@@ -53,42 +53,34 @@ class ThrottlingEstimator {
   /// Batch counterpart for curve building: the throttling probability of
   /// every capacity vector against ONE shared trace, in candidate order.
   /// Fails with the error of the first (in candidate order) failing
-  /// candidate, matching a serial loop of Probability calls. With a
-  /// non-null `executor`, candidates are partitioned across the pool in
-  /// deterministic chunks; `stats` optionally shares memoized per-dimension
-  /// sorted state (ignored unless it caches this exact trace object).
-  ///
-  /// The base implementation simply loops Probability; estimators with
-  /// amortisable per-trace state override it (NonParametricEstimator builds
-  /// an ExceedanceIndex, DESIGN.md §9). Overrides must stay bit-identical
-  /// to the per-candidate loop — this is an evaluation-strategy hook, not a
-  /// semantics hook.
-  virtual StatusOr<std::vector<double>> EstimateCurveProbabilities(
+  /// candidate, matching a serial loop of Probability calls — which is
+  /// exactly what it runs. With a non-null `executor`, candidates are
+  /// partitioned across the pool in deterministic chunks, each scored into
+  /// its own slot, so the result is bit-identical at any thread count.
+  /// Production curve builds pass no executor: one per-SKU scan is a few
+  /// microseconds, too small a grain to fan out (DESIGN.md §9).
+  StatusOr<std::vector<double>> EstimateCurveProbabilities(
       const telemetry::PerfTrace& trace,
       const std::vector<catalog::ResourceVector>& capacities,
-      exec::ThreadPool* executor = nullptr,
-      const telemetry::TraceStatsCache* stats = nullptr) const;
+      exec::ThreadPool* executor = nullptr) const;
 
   /// Convenience overload over a compiled deployment view (no IOPS
   /// overrides): evaluates every entry's memoized capacity vector.
   StatusOr<std::vector<double>> EstimateCurveProbabilities(
       const telemetry::PerfTrace& trace, catalog::CompiledView candidates,
-      exec::ThreadPool* executor = nullptr,
-      const telemetry::TraceStatsCache* stats = nullptr) const;
+      exec::ThreadPool* executor = nullptr) const;
 
   /// Paper Eq. 1 with ONE dimension's capacity a function of time (the
   /// serverless autoscale extension): P(any dimension exceeds its limit)
   /// where `moving.dim`'s limit at row t is `moving.capacity[t]` and every
   /// other dimension keeps its constant limit from `capacities` (a constant
   /// entry for `moving.dim`, if present, is superseded by the series). The
-  /// base implementation is the definitional row-major scan; overrides must
-  /// stay bit-identical to it. Fails with INVALID_ARGUMENT when the series
-  /// length differs from the trace, the trace lacks `moving.dim`, the trace
-  /// is empty, or no dimension is shared.
-  virtual StatusOr<double> ProbabilityMoving(
-      const telemetry::PerfTrace& trace,
-      const catalog::ResourceVector& capacities,
-      const MovingCapacity& moving) const;
+  /// definitional row-major scan. Fails with INVALID_ARGUMENT when the
+  /// series length differs from the trace, the trace lacks `moving.dim`,
+  /// the trace is empty, or no dimension is shared.
+  StatusOr<double> ProbabilityMoving(const telemetry::PerfTrace& trace,
+                                     const catalog::ResourceVector& capacities,
+                                     const MovingCapacity& moving) const;
 
   /// Human-readable estimator name for benchmark output.
   virtual const char* name() const = 0;
@@ -102,35 +94,15 @@ class ThrottlingEstimator {
 /// Implemented as a columnar kernel: the trace's contiguous per-dimension
 /// columns (PerfTrace::Columns) are swept one at a time with an early-exit
 /// union test, which keeps the scan cache-friendly and allocation-free on
-/// the hot path. Thread-safe: concurrent Probability calls on shared traces
-/// are the unit of work the parallel curve build fans out.
+/// the hot path. A price-performance curve is one such scan per candidate
+/// SKU, run serially on the request's thread (DESIGN.md §9). Thread-safe:
+/// concurrent Probability calls on shared traces (confidence bootstrap
+/// runs, fleet workers) each use their own per-thread scratch.
 class NonParametricEstimator : public ThrottlingEstimator {
  public:
   StatusOr<double> Probability(
       const telemetry::PerfTrace& trace,
       const catalog::ResourceVector& capacities) const override;
-
-  /// Amortized batch path (DESIGN.md §9): builds one ExceedanceIndex over
-  /// the union of candidate dimensions — argsort once per dimension,
-  /// exceedance bitsets memoized per distinct capacity value — then counts
-  /// each candidate's union by word-wise OR + popcount, O(d·n/64) per SKU.
-  /// Bit-identical to looping Probability: both count exactly the rows
-  /// where any shared dimension exceeds its capacity and divide by n.
-  StatusOr<std::vector<double>> EstimateCurveProbabilities(
-      const telemetry::PerfTrace& trace,
-      const std::vector<catalog::ResourceVector>& capacities,
-      exec::ThreadPool* executor = nullptr,
-      const telemetry::TraceStatsCache* stats = nullptr) const override;
-  using ThrottlingEstimator::EstimateCurveProbabilities;
-
-  /// Index-backed moving-capacity path: the constant dimensions reuse the
-  /// memoized exceedance bitsets; the moving dimension builds its bitset by
-  /// a direct row-vs-row compare (ExceedanceIndex::CountExceedingUnionMoving).
-  /// Bit-identical to the base row-major scan.
-  StatusOr<double> ProbabilityMoving(
-      const telemetry::PerfTrace& trace,
-      const catalog::ResourceVector& capacities,
-      const MovingCapacity& moving) const override;
 
   const char* name() const override { return "non-parametric"; }
 };

@@ -453,7 +453,9 @@ StatusOr<int> RunAssessBatch(const CliOptions& options, std::ostream& out) {
   DOPPLER_ASSIGN_OR_RETURN(core::GroupModel profiles,
                            ResolveProfiles(options, skus, deployment, out));
   SkuRecommendationPipeline::Config config;
-  config.num_threads = jobs;  // --jobs drives both fan-out levels.
+  // --jobs sizes both pools; the pipeline's bootstrap pool stays idle here
+  // because assess-batch computes no confidence.
+  config.num_threads = jobs;
   DOPPLER_ASSIGN_OR_RETURN(
       SkuRecommendationPipeline pipeline,
       SkuRecommendationPipeline::Create(

@@ -116,16 +116,14 @@ StatusOr<SkuRecommendationPipeline> SkuRecommendationPipeline::Create(
   pipeline.baseline_ = std::make_unique<core::BaselineRecommender>(
       pipeline.compiled_.get(), config.baseline_quantile);
 
-  // Execution pool for the per-SKU probability scans. num_threads == 1 (or
-  // auto on a single-core host) keeps the engine strictly serial; either
-  // way the assessment bytes are identical.
+  // Execution pool for the confidence bootstrap's reruns. num_threads == 1
+  // (or auto on a single-core host) keeps the engine strictly serial;
+  // either way the assessment bytes are identical.
   const int threads = config.num_threads == 0
                           ? exec::ThreadPool::HardwareConcurrency()
                           : config.num_threads;
   if (threads > 1) {
     pipeline.pool_ = std::make_unique<exec::ThreadPool>(threads);
-    pipeline.db_recommender_->SetExecutor(pipeline.pool_.get());
-    pipeline.mi_recommender_->SetExecutor(pipeline.pool_.get());
   }
   return pipeline;
 }
@@ -212,9 +210,10 @@ Status SkuRecommendationPipeline::StageLayout(RequestContext& ctx) const {
 Status SkuRecommendationPipeline::StageRecommend(RequestContext& ctx) const {
   const AssessmentRequest& request = *ctx.request;
   AssessmentOutcome& outcome = ctx.outcome;
+  const bool db = request.target == Deployment::kSqlDb;
   const core::ElasticRecommender& recommender =
-      request.target == Deployment::kSqlDb ? *db_recommender_
-                                           : *mi_recommender_;
+      db ? *db_recommender_ : *mi_recommender_;
+  const core::CustomerProfiler& profiler = db ? *db_profiler_ : *mi_profiler_;
   // One memoized order-statistics view of the (now frozen) instance trace,
   // shared with the baseline so each dimension is sorted once per
   // assessment instead of once per consumer.
@@ -225,6 +224,12 @@ Status SkuRecommendationPipeline::StageRecommend(RequestContext& ctx) const {
         outcome.elastic,
         recommender.Recommend(outcome.instance_trace, request.target,
                               ctx.layout, instance_stats));
+    // Scored with the same strategy (and rho) the recommendation profiled
+    // with, so the report's negotiability block agrees with the rationale.
+    StatusOr<core::NegotiabilityScores> negotiability =
+        profiler.strategy().Evaluate(outcome.instance_trace, profiler.dims(),
+                                     instance_stats);
+    if (negotiability.ok()) outcome.negotiability = *std::move(negotiability);
   }
   DOPPLER_LOG(kDebug) << "elastic pick " << outcome.elastic.sku.id << " ("
                       << core::CurveShapeName(outcome.elastic.curve_shape)
@@ -252,9 +257,10 @@ Status SkuRecommendationPipeline::StageConfidence(RequestContext& ctx) const {
   Rng rng(config_.confidence_seed);
   const catalog::FileLayout& layout = ctx.layout;
   // The scorer's first rerun evaluates the original instance trace: reuse
-  // the assessment's memoized cache (sorted series + argsort feeding the
-  // exceedance index) instead of re-sorting every dimension again. Each
-  // bootstrap resample is a distinct trace and gets its own view.
+  // the assessment's memoized cache (sorted series) instead of re-sorting
+  // every dimension again. Each bootstrap resample is a distinct trace and
+  // gets its own view; reruns run concurrently on the pipeline's pool, and
+  // the shared cache is only read by the original run.
   telemetry::TraceStatsCache* instance_stats = EnsureInstanceStats(ctx);
   const telemetry::PerfTrace* instance_trace = &outcome.instance_trace;
   core::RecommendFn rerun =
@@ -271,7 +277,7 @@ Status SkuRecommendationPipeline::StageConfidence(RequestContext& ctx) const {
   DOPPLER_ASSIGN_OR_RETURN(
       core::ConfidenceResult confidence,
       core::ScoreConfidence(outcome.instance_trace, rerun, config_.confidence,
-                            &rng));
+                            &rng, pool_.get()));
   outcome.confidence = std::move(confidence);
   return OkStatus();
 }

@@ -62,10 +62,11 @@ class SkuRecommendationPipeline {
     double rho = 0.10;  ///< Thresholding-duration cutoff.
     core::ConfidenceOptions confidence;
     std::uint64_t confidence_seed = 19;
-    /// Worker threads for the per-SKU curve build: 0 picks the hardware
-    /// concurrency, 1 keeps the engine strictly serial (no pool is
-    /// created), >1 sizes the pool. Assessments are bit-identical at every
-    /// setting — parallelism changes wall-clock only.
+    /// Worker threads for the confidence bootstrap's reruns: 0 picks the
+    /// hardware concurrency, 1 keeps the engine strictly serial (no pool
+    /// is created), >1 sizes the pool. The curve itself is always scored
+    /// serially on the request's thread. Assessments are bit-identical at
+    /// every setting — parallelism changes wall-clock only.
     int num_threads = 0;
     /// Default MI layout (used when an MI request carries no file layout):
     /// allocated size to assume, in GB, when the trace never reported a
@@ -128,16 +129,19 @@ class SkuRecommendationPipeline {
   /// request carries none). Requires StagePreprocess.
   Status StageLayout(RequestContext& ctx) const;
 
-  /// Elastic (Doppler) recommendation over the compiled snapshot.
-  /// Requires StagePreprocess and StageLayout.
+  /// Elastic (Doppler) recommendation over the compiled snapshot, plus the
+  /// instance trace's negotiability scores under the pipeline's own
+  /// profiler (Config::rho), which the JSON report renders. Requires
+  /// StagePreprocess and StageLayout.
   Status StageRecommend(RequestContext& ctx) const;
 
   /// Legacy baseline recommendation; its failure is recorded in the
   /// outcome, never propagated. Requires StagePreprocess.
   Status StageBaseline(RequestContext& ctx) const;
 
-  /// Bootstrap confidence score (when the request asks for it). Requires
-  /// StageRecommend's inputs (preprocess + layout).
+  /// Bootstrap confidence score (when the request asks for it), its reruns
+  /// fanned out on the pipeline's pool. Requires StageRecommend's inputs
+  /// (preprocess + layout).
   Status StageConfidence(RequestContext& ctx) const;
 
   /// Right-sizing against the request's current SKU (when named). A
@@ -153,8 +157,8 @@ class SkuRecommendationPipeline {
   /// The immutable compiled snapshot every assessment reads.
   const catalog::CompiledCatalog& compiled() const { return *compiled_; }
   const core::GroupModel& group_model() const { return *group_model_; }
-  /// The pipeline's SKU-scoring pool; nullptr when the engine is serial
-  /// (num_threads == 1 or single-core auto detection).
+  /// The pipeline's bootstrap pool (Config::num_threads); nullptr when the
+  /// engine is serial (num_threads == 1 or single-core auto detection).
   exec::ThreadPool* executor() const { return pool_.get(); }
 
  private:
@@ -173,8 +177,8 @@ class SkuRecommendationPipeline {
   std::unique_ptr<core::ElasticRecommender> db_recommender_;
   std::unique_ptr<core::ElasticRecommender> mi_recommender_;
   std::unique_ptr<core::BaselineRecommender> baseline_;
-  // SKU-scoring pool shared by both recommenders; they borrow the raw
-  // pointer, which stays valid across moves of the pipeline object.
+  // Bootstrap pool the confidence stage fans its reruns out on; the raw
+  // pointer stays valid across moves of the pipeline object.
   std::unique_ptr<exec::ThreadPool> pool_;
   DataPreprocessingModule preprocessing_;
   Config config_;

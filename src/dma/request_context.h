@@ -9,6 +9,7 @@
 
 #include "catalog/file_layout.h"
 #include "core/confidence.h"
+#include "core/negotiability.h"
 #include "core/recommender.h"
 #include "core/rightsizing.h"
 #include "quality/quality_gate.h"
@@ -82,6 +83,11 @@ struct AssessmentOutcome {
   StatusOr<core::Recommendation> baseline{
       NotFoundError("baseline not evaluated")};
   std::optional<core::ConfidenceResult> confidence;
+  /// Per-dimension negotiability of the instance trace under the
+  /// pipeline's profiler (its strategy and rho), over the target's
+  /// profiling dimensions; set by the recommend stage. Unset when that
+  /// stage did not run or the trace could not be scored.
+  std::optional<core::NegotiabilityScores> negotiability;
   std::optional<core::RightSizingAssessment> rightsizing;
   /// Why the right-sizing stage produced no assessment despite the request
   /// naming a current SKU (e.g. the SKU is not on the curve). Empty when

@@ -256,23 +256,17 @@ std::string RenderAssessmentJson(const AssessmentOutcome& outcome,
     json.Key("matching_runs").Int(outcome.confidence->matching_runs);
     json.EndObject();
   }
-  {
-    const std::vector<catalog::ResourceDim> dims =
-        workload::ProfilingDims(outcome.target);
-    const core::ThresholdingStrategy thresholding;
-    StatusOr<core::NegotiabilityScores> profile =
-        thresholding.Evaluate(outcome.instance_trace, dims);
-    if (profile.ok()) {
-      json.Key("negotiability").BeginArray();
-      for (std::size_t i = 0; i < dims.size(); ++i) {
-        json.BeginObject();
-        json.Key("dimension").String(catalog::ResourceDimName(dims[i]));
-        json.Key("score").Number(profile->scores[i]);
-        json.Key("negotiable").Bool(profile->negotiable[i]);
-        json.EndObject();
-      }
-      json.EndArray();
+  if (outcome.negotiability.has_value()) {
+    const core::NegotiabilityScores& profile = *outcome.negotiability;
+    json.Key("negotiability").BeginArray();
+    for (std::size_t i = 0; i < profile.dims.size(); ++i) {
+      json.BeginObject();
+      json.Key("dimension").String(catalog::ResourceDimName(profile.dims[i]));
+      json.Key("score").Number(profile.scores[i]);
+      json.Key("negotiable").Bool(profile.negotiable[i]);
+      json.EndObject();
     }
+    json.EndArray();
   }
   if (outcome.rightsizing.has_value()) {
     json.Key("rightsizing").BeginObject();

@@ -68,7 +68,7 @@ void StreamIndex::OnEvict(std::uint64_t seq) {
   if (patched != 0) CountRowsPatched(patched);
 }
 
-const core::ExceedanceSet& StreamIndex::SetFor(catalog::ResourceDim dim,
+const ExceedanceSet& StreamIndex::SetFor(catalog::ResourceDim dim,
                                                double capacity) const {
   DimState& state = dims_[Index(dim)];
   const auto it = state.memo.find(capacity);
@@ -79,8 +79,8 @@ const core::ExceedanceSet& StreamIndex::SetFor(catalog::ResourceDim dim,
 
   // First sight of this capacity: the exceeding rows are one contiguous
   // run of the stats sorted order (suffix for normal dims, prefix for
-  // inverted), exactly as in the offline index — materialise their SLOTS.
-  // Same sorted-scan hybrid as the offline boundary.
+  // inverted) — materialise their SLOTS. The boundary is a branch-free
+  // count on short columns, a binary search on long ones.
   const kernels::KernelOps& ops = kernels::ActiveKernels();
   const std::vector<double>& sorted = stats_->Sorted(dim);
   const std::vector<std::uint64_t>& seqs = stats_->SortedSeqs(dim);
@@ -94,7 +94,7 @@ const core::ExceedanceSet& StreamIndex::SetFor(catalog::ResourceDim dim,
                                                       sorted.size(), capacity);
   }
 
-  core::ExceedanceSet set;
+  ExceedanceSet set;
   std::uint64_t* const words = state.arena.Allocate(num_words_);
   set.words = words;
   set.num_words = num_words_;
@@ -111,7 +111,7 @@ const core::ExceedanceSet& StreamIndex::SetFor(catalog::ResourceDim dim,
 
 std::size_t StreamIndex::CountExceedingUnion(
     const catalog::ResourceVector& capacities) const {
-  std::array<const core::ExceedanceSet*, catalog::kNumResourceDims> sets;
+  std::array<const ExceedanceSet*, catalog::kNumResourceDims> sets;
   std::size_t num_sets = 0;
   for (catalog::ResourceDim dim : trace_->dims()) {
     if (!capacities.Has(dim)) continue;
@@ -120,9 +120,7 @@ std::size_t StreamIndex::CountExceedingUnion(
   if (num_sets == 0) return 0;
   if (num_sets == 1) return sets[0]->count;
 
-  // Same dispatched union kernel as the offline index — the loop used to
-  // be a hand copy of core::ExceedanceIndex's and is now literally the
-  // same code path.
+  // Dispatched union kernel: ORs each set in, counting newly set bits.
   const kernels::KernelOps& ops = kernels::ActiveKernels();
   const std::size_t live = trace_->size();
   thread_local AlignedVector<std::uint64_t> union_words;
@@ -131,7 +129,7 @@ std::size_t StreamIndex::CountExceedingUnion(
   for (std::size_t k = 0; k < num_sets && count < live; ++k) {
     count += ops.union_count(union_words.data(), sets[k]->words, num_words_);
   }
-  core::TrimScratch(union_words);
+  TrimScratch(union_words);
   return count;
 }
 

@@ -7,15 +7,30 @@
 #include <vector>
 
 #include "catalog/resource.h"
-#include "core/exceedance_index.h"
 #include "stream/stream_stats.h"
 #include "stream/streaming_trace.h"
 #include "util/kernels/bitset_arena.h"
 
 namespace doppler::stream {
 
-/// Incrementally maintained exceedance index over a StreamingTrace window —
-/// the streaming counterpart of core::ExceedanceIndex (DESIGN.md §13).
+/// One memoized exceedance set: the window rows whose demand in one
+/// dimension exceeds one capacity value, packed 64 ring slots per word
+/// (slot s is bit s%64 of word s/64; padding bits past the ring capacity
+/// are zero). The words live in the owning dimension's BitsetArena — 64-byte
+/// aligned, zero-padded at birth, stable for the index's lifetime — so the
+/// set itself is just a view. The pointer is non-const because the index
+/// patches memoized sets bit-by-bit in place.
+struct ExceedanceSet {
+  std::uint64_t* words = nullptr;
+  std::size_t num_words = 0;
+  /// Popcount over `words` — the number of exceeding rows.
+  std::size_t count = 0;
+};
+
+/// Incrementally maintained exceedance index over a StreamingTrace window
+/// (DESIGN.md §13). The offline engine scores a curve with one plain
+/// columnar scan per SKU (DESIGN.md §9); the monitor keeps this index
+/// because per-tick patching beats re-scanning a long-lived window.
 ///
 /// Per (dimension, distinct capacity) it memoizes an ExceedanceSet whose
 /// bits are RING-SLOT-aligned (bit = seq % window capacity) rather than
@@ -23,11 +38,10 @@ namespace doppler::stream {
 /// patches one bit per memoized set (set/clear + count ±1) instead of
 /// rebuilding the bitset. Dead slots are zero in every set — an evict
 /// clears its bit before the slot is reused — so the union of per-dim
-/// sets ORs and popcounts exactly like the offline index, and
-/// CountExceedingUnion / SetFor(...).count equal the counts a fresh
-/// core::ExceedanceIndex over the materialised window produces (the
-/// differential harness locks this; bit POSITIONS differ by the
-/// slot-vs-row alignment, counts cannot).
+/// sets ORs and popcounts to the union cardinality, and
+/// CountExceedingUnion / SetFor(...).count equal the row-major Eq. 1
+/// counts over the materialised window (the differential harness locks
+/// this against a from-scratch count after every step).
 ///
 /// Membership uses the same strict comparisons as
 /// catalog::ResourceVector::Exceeds (demand > capacity; demand < capacity
@@ -61,12 +75,11 @@ class StreamIndex {
   /// The memoized slot-aligned exceedance set for one (dim, capacity);
   /// built from the stats sorted run on first use, patched incrementally
   /// afterwards. The dimension must be in the window.
-  const core::ExceedanceSet& SetFor(catalog::ResourceDim dim,
-                                    double capacity) const;
+  const ExceedanceSet& SetFor(catalog::ResourceDim dim, double capacity) const;
 
   /// Rows of the live window throttled by ANY window dimension priced in
-  /// `capacities` — same contract as core::ExceedanceIndex, answered from
-  /// the patched sets.
+  /// `capacities` — the numerator of paper Eq. 1 over the live window,
+  /// answered from the patched sets.
   std::size_t CountExceedingUnion(
       const catalog::ResourceVector& capacities) const;
 
@@ -79,11 +92,11 @@ class StreamIndex {
   struct DimState {
     // std::map for node stability: SetFor hands out references that must
     // survive later memo insertions.
-    std::map<double, core::ExceedanceSet> memo;
-    // Backing store for the memoized bitsets — the same cache-line-aligned
-    // arena the offline index uses. Stream memo entries live for the
-    // index's lifetime (patched, never rebuilt), so the arena only grows
-    // with distinct capacities and is never Reset().
+    std::map<double, ExceedanceSet> memo;
+    // Backing store for the memoized bitsets: cache-line-aligned spans.
+    // Stream memo entries live for the index's lifetime (patched, never
+    // rebuilt), so the arena only grows with distinct capacities and is
+    // never Reset().
     kernels::BitsetArena arena;
   };
 

@@ -15,15 +15,16 @@ namespace doppler::stream {
 ///
 /// Per dimension it keeps the window's values in ascending (value, seq)
 /// order as two parallel vectors. Because window-relative row index equals
-/// seq - first_seq (monotone in seq), this order is exactly the
-/// (value, row-index) order TraceStatsCache::Argsort produces on the
-/// materialised window — so Sorted(), RowOf() and Quantile() are
-/// bit-identical to rebuilding a TraceStatsCache from scratch, which the
-/// differential harness (tests/stream_test.cc) locks at every step.
+/// seq - first_seq (monotone in seq), this order is exactly the order a
+/// stable sort by value gives on the materialised window (equal values
+/// keep row order) — so Sorted() and Quantile() are bit-identical to
+/// rebuilding a TraceStatsCache from scratch, and RowOf() to a stable
+/// argsort, which the differential harness (tests/stream_test.cc) locks
+/// at every step.
 ///
 /// Each append/evict patches one slot per dimension (a binary-searched
 /// insert/erase, O(log n) search + O(n) shift) instead of the O(n log n)
-/// full re-argsort per tick; the patch count is charged to the
+/// full re-sort per tick; the patch count is charged to the
 /// `stream.rows_patched` counter, which the bench gate locks so an
 /// accidental rebuild-per-tick regression fails `check.sh --bench`.
 ///
@@ -65,8 +66,8 @@ class StreamStats {
     return dims_[Index(dim)].sorted_seqs;
   }
 
-  /// Window-relative row index of sorted position i — equals
-  /// TraceStatsCache::Argsort(dim)[i] on the materialised window.
+  /// Window-relative row index of sorted position i — equals position i
+  /// of a stable argsort of the materialised window.
   std::uint32_t RowOf(catalog::ResourceDim dim, std::size_t i) const {
     return static_cast<std::uint32_t>(dims_[Index(dim)].sorted_seqs[i] -
                                       trace_->first_seq());

@@ -22,11 +22,9 @@ inline constexpr int kSamplesPerDay =
 /// Zero-copy column-major view of a trace's demand matrix over a chosen
 /// dimension subset: column k is the contiguous series for the k-th
 /// requested dimension, every column sharing one row count. This is the
-/// shape the throttling kernels consume — the scalar scan
+/// shape the throttling kernels consume — the columnar scan
 /// (NonParametricEstimator::Probability) sweeps each column once per
-/// evaluation, while the batch path argsorts each column once per trace
-/// and answers every evaluation from memoized exceedance bitsets
-/// (core/exceedance_index.h, DESIGN.md §9).
+/// evaluation, one evaluation per candidate SKU (DESIGN.md §9).
 struct DemandColumns {
   /// One pointer per requested dimension, each to `num_rows` contiguous
   /// doubles. Absent dimensions are skipped entirely.
@@ -57,11 +55,11 @@ class PerfTrace {
   std::int64_t interval_seconds() const { return interval_seconds_; }
 
   /// Mutation counter: bumped by every successful SetSeries. Caches that
-  /// BORROW a trace (TraceStatsCache, ExceedanceIndex) record the
-  /// generation they were built against and rebuild instead of serving
-  /// stale sorted state when it has moved on — the eviction/mutation
-  /// hazard guard (DESIGN.md §13). Copies carry the source's generation;
-  /// a copy and its source then diverge independently.
+  /// BORROW a trace (TraceStatsCache) record the generation they were
+  /// built against and rebuild instead of serving stale sorted state when
+  /// it has moved on — the eviction/mutation hazard guard (DESIGN.md §13).
+  /// Copies carry the source's generation; a copy and its source then
+  /// diverge independently.
   std::uint64_t generation() const { return generation_; }
 
   /// Installs the series for one dimension. The first installed series

@@ -1,9 +1,8 @@
 #include "telemetry/trace_stats.h"
 
 #include <algorithm>
-#include <cstdint>
-#include <numeric>
 
+#include "obs/metrics.h"
 #include "stats/descriptive.h"
 
 namespace doppler::telemetry {
@@ -18,27 +17,17 @@ const TraceStatsCache::DimEntry& TraceStatsCache::Entry(
   // of serving stale sorted order.
   if (entry.built && entry.generation == trace_->generation()) return entry;
   entry.sorted.clear();
-  entry.argsort.clear();
   entry.mean = entry.stddev = entry.min = entry.max = 0.0;
   if (trace_->Has(dim)) {
     const std::vector<double>& values = trace_->Values(dim);
-    // One sort per dimension: order the row indices, then gather the sorted
-    // values through the permutation. The gathered vector holds the same
-    // multiset in ascending order as sorting the values directly would, so
-    // every Sorted() consumer stays bit-identical, and the permutation is
-    // available to the exceedance index at no extra sort.
-    const std::size_t n = values.size();
-    entry.argsort.resize(n);
-    std::iota(entry.argsort.begin(), entry.argsort.end(), std::uint32_t{0});
-    std::sort(entry.argsort.begin(), entry.argsort.end(),
-              [&values](std::uint32_t a, std::uint32_t b) {
-                if (values[a] != values[b]) return values[a] < values[b];
-                return a < b;
-              });
-    entry.sorted.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      entry.sorted[i] = values[entry.argsort[i]];
-    }
+    // One direct sort of a copy per dimension. Stable, so equal keys keep
+    // row order: the result is bit-identical to gathering through a
+    // (value, row) argsort, down to the order of 0.0 and -0.0 ties.
+    static obs::Counter* const kRowsSorted =
+        obs::DefaultMetrics().GetCounter("stats.rows_sorted");
+    entry.sorted.assign(values.begin(), values.end());
+    std::stable_sort(entry.sorted.begin(), entry.sorted.end());
+    kRowsSorted->Increment(values.size());
     entry.mean = stats::Mean(values);
     entry.stddev = stats::StdDev(values);
     // Sorted extremes match stats::Min/Max on non-empty input.
@@ -53,11 +42,6 @@ const TraceStatsCache::DimEntry& TraceStatsCache::Entry(
 const std::vector<double>& TraceStatsCache::Sorted(
     catalog::ResourceDim dim) const {
   return Entry(dim).sorted;
-}
-
-const std::vector<std::uint32_t>& TraceStatsCache::Argsort(
-    catalog::ResourceDim dim) const {
-  return Entry(dim).argsort;
 }
 
 double TraceStatsCache::Quantile(catalog::ResourceDim dim, double q) const {

@@ -19,8 +19,9 @@ namespace doppler::telemetry {
 /// same sorted state instead of re-deriving it.
 ///
 /// The cache BORROWS the trace and snapshots nothing up front; entries are
-/// built lazily on first access, under a mutex, so concurrent workers of a
-/// parallel curve build or fleet assessment may share one cache safely.
+/// built lazily on first access, under a mutex, so concurrent readers may
+/// share one cache safely. Every row an entry build sorts is charged to the
+/// `stats.rows_sorted` counter.
 ///
 /// Invalidation contract (DESIGN.md §7, hardened in §13): a trace must not
 /// be mutated while a cache over it is being read CONCURRENTLY. Sequential
@@ -46,14 +47,6 @@ class TraceStatsCache {
   /// dimension is absent from the trace.
   const std::vector<double>& Sorted(catalog::ResourceDim dim) const;
 
-  /// The sorting permutation behind Sorted(): row indices of the original
-  /// series in ascending value order, ties broken by ascending row index,
-  /// so the permutation is a deterministic function of the series alone.
-  /// Sorted()[i] == Values(dim)[Argsort(dim)[i]]. The exceedance index
-  /// (DESIGN.md §9) reads this to turn "rows above a capacity" into a
-  /// suffix of the permutation. Empty when the dimension is absent.
-  const std::vector<std::uint32_t>& Argsort(catalog::ResourceDim dim) const;
-
   /// R-7 quantile over the memoized sorted series (0 when absent).
   double Quantile(catalog::ResourceDim dim, double q) const;
 
@@ -69,7 +62,6 @@ class TraceStatsCache {
     /// the trace was mutated and the entry rebuilds before serving.
     std::uint64_t generation = 0;
     std::vector<double> sorted;
-    std::vector<std::uint32_t> argsort;
     double mean = 0.0;
     double stddev = 0.0;
     double min = 0.0;

@@ -51,6 +51,26 @@ struct AlignedAllocator {
 template <typename T>
 using AlignedVector = std::vector<T, AlignedAllocator<T, 64>>;
 
+/// Scratch-lifetime policy for hot-path per-thread buffers (DESIGN.md §9):
+/// scratch is reused across evaluations so the hot path never allocates
+/// after warm-up, but one oversized trace must not pin its high-water mark
+/// for the lifetime of the thread. After each use, a buffer whose capacity
+/// exceeds this bound is released back to the allocator. Steady-state DMA
+/// traces sit far below it (a 30-day trace is ~4.3k rows, ~4 KiB of scan
+/// marks or ~0.5 KiB of bitset words), so the trim only ever fires after an
+/// outlier trace.
+inline constexpr std::size_t kScratchRetainBytes = std::size_t{1} << 20;
+
+/// Applies the policy above to one scratch vector: keep the buffer when its
+/// footprint is within kScratchRetainBytes, release it otherwise.
+/// Allocator-generic so cache-aligned scratch gets the same policy.
+template <typename T, typename Alloc>
+void TrimScratch(std::vector<T, Alloc>& scratch) {
+  if (scratch.capacity() * sizeof(T) > kScratchRetainBytes) {
+    scratch = std::vector<T, Alloc>();
+  }
+}
+
 }  // namespace doppler
 
 #endif  // DOPPLER_UTIL_ALIGNED_H_

@@ -7,8 +7,8 @@
 
 namespace doppler::kernels {
 
-/// Bump allocator for the word-packed exceedance bitsets shared by
-/// core::ExceedanceIndex and stream::StreamIndex (DESIGN.md §15).
+/// Bump allocator for the word-packed exceedance bitsets of
+/// stream::StreamIndex (DESIGN.md §15).
 ///
 /// Memoised exceedance sets used to live in per-set std::vector<uint64_t>
 /// buffers — one heap allocation per memo entry, no alignment guarantee,
@@ -26,8 +26,8 @@ namespace doppler::kernels {
 /// stream index patches bits in place) must keep the invariant when
 /// clearing: they only ever clear row bits, so it holds structurally.
 ///
-/// Thread safety: none — each index dimension owns one arena and guards it
-/// with the same mutex that guards its memo map.
+/// Thread safety: none — each index dimension owns one arena, synchronized
+/// externally like the memo map it backs.
 class BitsetArena {
  public:
   BitsetArena() = default;

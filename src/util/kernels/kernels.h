@@ -68,15 +68,6 @@ struct KernelOps {
   std::size_t (*mark_below)(const double* values, std::size_t n, double limit,
                             unsigned char* marks);
 
-  /// Row-vs-row exceedance to a word-packed bitset (the moving-capacity
-  /// union seed): bit r of `words` <- values[r] strictly above/below
-  /// limits[r]; returns the number of set bits. Writes every word of
-  /// ceil(n/64), leaving padding bits zero — callers need not pre-zero.
-  std::size_t (*bitset_above)(const double* values, const double* limits,
-                              std::size_t n, std::uint64_t* words);
-  std::size_t (*bitset_below)(const double* values, const double* limits,
-                              std::size_t n, std::uint64_t* words);
-
   /// (d) Batched Gaussian-kernel evaluation over one sample array.
   /// kde_cdf_sum returns sum_i 0.5 * (1 + erf(((x - s_i) / bandwidth) *
   /// (1/sqrt 2))); kde_density_sum returns sum_i exp(-0.5 * z_i * z_i)

@@ -144,38 +144,6 @@ std::size_t MarkCmp(const double* values, std::size_t n, double limit,
   return newly;
 }
 
-template <int Predicate>
-std::size_t BitsetCmp(const double* values, const double* limits,
-                      std::size_t n, std::uint64_t* words) {
-  std::size_t count = 0;
-  std::size_t w = 0;
-  for (; (w + 1) * 64 <= n; ++w) {
-    std::uint64_t word = 0;
-    const std::size_t base = w * 64;
-    for (std::size_t j = 0; j < 64; j += 4) {
-      const __m256d v = _mm256_loadu_pd(values + base + j);
-      const __m256d l = _mm256_loadu_pd(limits + base + j);
-      const std::uint64_t mask = static_cast<std::uint64_t>(
-          static_cast<unsigned>(_mm256_movemask_pd(
-              _mm256_cmp_pd(v, l, Predicate))));
-      word |= mask << j;
-    }
-    words[w] = word;
-    count += static_cast<std::size_t>(__builtin_popcountll(word));
-  }
-  if (w * 64 < n) {
-    std::uint64_t word = 0;
-    for (std::size_t r = w * 64; r < n; ++r) {
-      const bool hit =
-          Predicate == _CMP_GT_OQ ? values[r] > limits[r] : values[r] < limits[r];
-      word |= static_cast<std::uint64_t>(hit) << (r & 63);
-    }
-    words[w] = word;
-    count += static_cast<std::size_t>(__builtin_popcountll(word));
-  }
-  return count;
-}
-
 double KdeCdfSum(const double* sample, std::size_t n, double x,
                  double bandwidth) {
   const __m256d query = _mm256_set1_pd(x);
@@ -234,8 +202,6 @@ constexpr KernelOps kAvx2Ops = {
     CountCmp<_CMP_LT_OQ>,
     MarkCmp<_CMP_GT_OQ>,
     MarkCmp<_CMP_LT_OQ>,
-    BitsetCmp<_CMP_GT_OQ>,
-    BitsetCmp<_CMP_LT_OQ>,
     KdeCdfSum,
     KdeDensitySum,
 };

@@ -119,35 +119,6 @@ std::size_t MarkCmp(const double* values, std::size_t n, double limit,
   return newly;
 }
 
-template <bool Above>
-std::size_t BitsetCmp(const double* values, const double* limits,
-                      std::size_t n, std::uint64_t* words) {
-  std::size_t count = 0;
-  std::size_t w = 0;
-  for (; (w + 1) * 64 <= n; ++w) {
-    std::uint64_t word = 0;
-    const std::size_t base = w * 64;
-    for (std::size_t j = 0; j < 64; j += 2) {
-      const uint64x2_t cmp = Compare<Above>(vld1q_f64(values + base + j),
-                                            vld1q_f64(limits + base + j));
-      word |= (vgetq_lane_u64(cmp, 0) & 1u) << j;
-      word |= (vgetq_lane_u64(cmp, 1) & 1u) << (j + 1);
-    }
-    words[w] = word;
-    count += static_cast<std::size_t>(__builtin_popcountll(word));
-  }
-  if (w * 64 < n) {
-    std::uint64_t word = 0;
-    for (std::size_t r = w * 64; r < n; ++r) {
-      const bool hit = Above ? values[r] > limits[r] : values[r] < limits[r];
-      word |= static_cast<std::uint64_t>(hit) << (r & 63);
-    }
-    words[w] = word;
-    count += static_cast<std::size_t>(__builtin_popcountll(word));
-  }
-  return count;
-}
-
 double KdeCdfSum(const double* sample, std::size_t n, double x,
                  double bandwidth) {
   const float64x2_t query = vdupq_n_f64(x);
@@ -196,8 +167,6 @@ constexpr KernelOps kNeonOps = {
     CountCmp<false>,
     MarkCmp<true>,
     MarkCmp<false>,
-    BitsetCmp<true>,
-    BitsetCmp<false>,
     KdeCdfSum,
     KdeDensitySum,
 };

@@ -2,11 +2,10 @@
 // SIMD variant is held bit-identical to (tests/kernel_test.cc), and the
 // fallback the dispatcher selects when no vector unit is available or
 // DOPPLER_KERNEL=scalar forces it. The loops are written exactly like the
-// hot paths they were hoisted out of (core/exceedance_index.cc,
+// hot paths they were hoisted out of (stream/stream_index.cc,
 // core/throttling.cc, stats/kde.cc), so routing a caller through the
 // table on a scalar-only host changes nothing but the call.
 
-#include <algorithm>
 #include <bit>
 #include <cmath>
 
@@ -71,38 +70,6 @@ std::size_t MarkBelow(const double* values, std::size_t n, double limit,
   return newly;
 }
 
-std::size_t BitsetAbove(const double* values, const double* limits,
-                        std::size_t n, std::uint64_t* words) {
-  std::size_t count = 0;
-  for (std::size_t w = 0; w * 64 < n; ++w) {
-    const std::size_t end = std::min(n - w * 64, std::size_t{64});
-    std::uint64_t word = 0;
-    for (std::size_t b = 0; b < end; ++b) {
-      const std::size_t r = w * 64 + b;
-      word |= static_cast<std::uint64_t>(values[r] > limits[r]) << b;
-    }
-    words[w] = word;
-    count += static_cast<std::size_t>(std::popcount(word));
-  }
-  return count;
-}
-
-std::size_t BitsetBelow(const double* values, const double* limits,
-                        std::size_t n, std::uint64_t* words) {
-  std::size_t count = 0;
-  for (std::size_t w = 0; w * 64 < n; ++w) {
-    const std::size_t end = std::min(n - w * 64, std::size_t{64});
-    std::uint64_t word = 0;
-    for (std::size_t b = 0; b < end; ++b) {
-      const std::size_t r = w * 64 + b;
-      word |= static_cast<std::uint64_t>(values[r] < limits[r]) << b;
-    }
-    words[w] = word;
-    count += static_cast<std::size_t>(std::popcount(word));
-  }
-  return count;
-}
-
 double KdeCdfSum(const double* sample, std::size_t n, double x,
                  double bandwidth) {
   double sum = 0.0;
@@ -124,8 +91,8 @@ double KdeDensitySum(const double* sample, std::size_t n, double x,
 }
 
 constexpr KernelOps kScalarOps = {
-    "scalar",     UnionCount, CountAbove,  CountBelow,    MarkAbove,
-    MarkBelow,    BitsetAbove, BitsetBelow, KdeCdfSum,    KdeDensitySum,
+    "scalar",  UnionCount, CountAbove, CountBelow,
+    MarkAbove, MarkBelow,  KdeCdfSum,  KdeDensitySum,
 };
 
 }  // namespace

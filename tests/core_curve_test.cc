@@ -348,8 +348,7 @@ TEST(CurveTest, MiIopsOverrideChangesProbability) {
   // One P10 file: 500 IOPS effective -> always throttled.
   const std::vector<CompiledCandidateRef> overridden = {{&view[0], 500.0}};
   StatusOr<PricePerformanceCurve> with_layout = PricePerformanceCurve::Build(
-      trace, overridden, pricing, estimator, nullptr, nullptr,
-      &compiled.target());
+      trace, overridden, pricing, estimator, &compiled.target());
   ASSERT_TRUE(with_layout.ok());
   EXPECT_DOUBLE_EQ(with_layout->points()[0].throttling_probability, 1.0);
 }

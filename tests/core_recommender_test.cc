@@ -1,6 +1,10 @@
 // Tests for the elastic and baseline recommenders, the bootstrap
 // confidence score, and right-sizing.
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "catalog/catalog.h"
@@ -9,6 +13,7 @@
 #include "core/recommender.h"
 #include "core/rightsizing.h"
 #include "dma/preprocess.h"
+#include "exec/thread_pool.h"
 #include "workload/generator.h"
 #include "workload/population.h"
 
@@ -319,6 +324,74 @@ TEST_F(RecommenderFixture, IidSchemeAlsoWorks) {
       ScoreConfidence(trace, recommend, options, &rng);
   ASSERT_TRUE(result.ok());
   EXPECT_GT(result->score, 0.9);
+}
+
+// The bootstrap fan-out (TSan target): runs evaluated across a pool of 1,
+// 2 or 4 threads must give exactly the serial result — same run count,
+// same matching runs, same score — for both schemes over 24 seeds, and
+// with a RecommendFn that fails on some resamples (a failed run counts as
+// non-matching wherever it runs).
+TEST_F(RecommenderFixture, ConfidencePoolMatchesSerialAcrossSeedsAndSchemes) {
+  const telemetry::PerfTrace trace = SpikyTrace(16);
+  const double cpu_median = [&] {
+    std::vector<double> cpu = trace.Values(ResourceDim::kCpu);
+    std::nth_element(cpu.begin(), cpu.begin() + cpu.size() / 2, cpu.end());
+    return cpu[cpu.size() / 2];
+  }();
+  // Fails exactly the resamples that open above the median CPU: a pure
+  // function of the resample, so serial and pooled runs fail alike.
+  const RecommendFn flaky = [&](const telemetry::PerfTrace& t) {
+    if (&t != &trace && t.Values(ResourceDim::kCpu).front() > cpu_median) {
+      return StatusOr<Recommendation>(UnavailableError("flaky run"));
+    }
+    return recommender_->RecommendDb(t);
+  };
+  const RecommendFn steady = [&](const telemetry::PerfTrace& t) {
+    return recommender_->RecommendDb(t);
+  };
+  exec::ThreadPool pool1(1);
+  exec::ThreadPool pool2(2);
+  exec::ThreadPool pool4(4);
+  int failures_seen = 0;
+  for (const BootstrapScheme scheme :
+       {BootstrapScheme::kWindow, BootstrapScheme::kIid}) {
+    for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+      for (const RecommendFn* recommend : {&steady, &flaky}) {
+        SCOPED_TRACE("seed " + std::to_string(seed) + " scheme " +
+                     std::to_string(static_cast<int>(scheme)) +
+                     (recommend == &flaky ? " flaky" : " steady"));
+        ConfidenceOptions options;
+        options.runs = 7;
+        options.window_days = 2.0;
+        options.scheme = scheme;
+        Rng serial_rng(seed);
+        StatusOr<ConfidenceResult> serial =
+            ScoreConfidence(trace, *recommend, options, &serial_rng);
+        ASSERT_TRUE(serial.ok());
+        for (exec::ThreadPool* pool : {&pool1, &pool2, &pool4}) {
+          Rng rng(seed);
+          StatusOr<ConfidenceResult> pooled =
+              ScoreConfidence(trace, *recommend, options, &rng, pool);
+          ASSERT_TRUE(pooled.ok());
+          EXPECT_EQ(pooled->runs, serial->runs);
+          EXPECT_EQ(pooled->matching_runs, serial->matching_runs);
+          EXPECT_EQ(pooled->score, serial->score);
+          EXPECT_EQ(pooled->original.sku.id, serial->original.sku.id);
+          // The RNG is left where the serial draws leave it.
+          EXPECT_EQ(rng.NextUint64(), Rng(serial_rng).NextUint64());
+        }
+        if (recommend == &flaky) {
+          Rng steady_rng(seed);
+          StatusOr<ConfidenceResult> reference =
+              ScoreConfidence(trace, steady, options, &steady_rng);
+          ASSERT_TRUE(reference.ok());
+          failures_seen += reference->matching_runs - serial->matching_runs;
+        }
+      }
+    }
+  }
+  // The flaky function really did knock out matching runs somewhere.
+  EXPECT_GT(failures_seen, 0);
 }
 
 // ----------------------------------------------------------- Rightsizing.

@@ -355,6 +355,37 @@ TEST_F(FleetDeterminismTest, PerRequestFailuresStayInTheirSlots) {
   }
 }
 
+// Config::num_threads sizes the pool the confidence bootstrap fans its
+// reruns out on; a confidence assessment must render the same bytes with
+// the runs evaluated serially or across four workers.
+TEST_F(FleetDeterminismTest, ConfidenceAssessmentByteIdenticalAcrossPoolSizes) {
+  std::vector<std::string> reports;
+  for (int threads : {1, 4}) {
+    dma::SkuRecommendationPipeline::Config config;
+    config.num_threads = threads;
+    StatusOr<dma::SkuRecommendationPipeline> pipeline =
+        dma::SkuRecommendationPipeline::Create({*catalog_, *model_}, config);
+    ASSERT_TRUE(pipeline.ok());
+    EXPECT_EQ(pipeline->executor() != nullptr, threads > 1);
+    for (const dma::AssessmentRequest& base : *requests_) {
+      dma::AssessmentRequest request = base;
+      request.compute_confidence = true;
+      StatusOr<dma::AssessmentOutcome> outcome = pipeline->Assess(request);
+      ASSERT_TRUE(outcome.ok());
+      ASSERT_TRUE(outcome->confidence.has_value());
+      dma::AssessmentJsonOptions json_options;
+      json_options.include_stage_seconds = false;
+      if (threads == 1) {
+        reports.push_back(dma::RenderAssessmentJson(*outcome, json_options));
+      } else {
+        EXPECT_EQ(dma::RenderAssessmentJson(*outcome, json_options),
+                  reports[&base - requests_->data()])
+            << request.customer_id;
+      }
+    }
+  }
+}
+
 // Stage names (and order) are part of the deterministic report even though
 // per-stage seconds are wall-clock.
 TEST_F(FleetDeterminismTest, StageTimingOrderIsStable) {

@@ -160,33 +160,31 @@ TEST_F(GoldenReportTest, BurstyDwDb) {
   CheckGolden("bursty_dw_db", "bursty_dw", Deployment::kSqlDb);
 }
 
-// The goldens above were produced by the amortized exceedance index
-// (DESIGN.md §9) because it IS the default curve path — this pins that
-// down so a silent fallback to the scalar scan can't masquerade as
-// byte-identity. Amortisation means the memoized bitsets get REUSED: over
-// a full catalog sweep, most (dimension, capacity) lookups must be memo
-// hits, because catalogs quantise capacities into far fewer distinct
-// values than candidate evaluations need.
-TEST_F(GoldenReportTest, IndexedBatchPathServesGoldenRenders) {
+// The goldens above are served by the plain per-SKU scan (DESIGN.md §9):
+// the curve is one Probability evaluation per DB candidate, each charging
+// the rows it really visited — at least one full column. This pins that
+// the counters describe the work the golden path does.
+TEST_F(GoldenReportTest, PerSkuScanServesGoldenRenders) {
   obs::MetricsRegistry& metrics = obs::DefaultMetrics();
-  const std::uint64_t misses0 =
-      metrics.GetCounter("ppm.index_misses")->Value();
-  const std::uint64_t hits0 = metrics.GetCounter("ppm.index_hits")->Value();
   const std::uint64_t evals0 =
       metrics.GetCounter("ppm.throttling_evaluations")->Value();
+  const std::uint64_t samples0 =
+      metrics.GetCounter("ppm.samples_scanned")->Value();
   StatusOr<std::string> rendered =
       RenderCanonical("steady_oltp", Deployment::kSqlDb, false);
   ASSERT_TRUE(rendered.ok()) << rendered.status().ToString();
-  const std::uint64_t misses =
-      metrics.GetCounter("ppm.index_misses")->Value() - misses0;
-  const std::uint64_t hits =
-      metrics.GetCounter("ppm.index_hits")->Value() - hits0;
   const std::uint64_t evals =
       metrics.GetCounter("ppm.throttling_evaluations")->Value() - evals0;
-  EXPECT_GT(misses, 0u) << "curve build did not go through the index";
-  EXPECT_GT(evals, 0u);
-  EXPECT_GT(hits, misses)
-      << "memoization is not amortising across candidates";
+  const std::uint64_t samples =
+      metrics.GetCounter("ppm.samples_scanned")->Value() - samples0;
+  const std::size_t candidates =
+      pipeline_->compiled().ForDeployment(Deployment::kSqlDb).size();
+  StatusOr<quality::GatedTrace> gated = quality::ReadTraceFileGated(
+      TracePath("steady_oltp"), quality::GateOptions());
+  ASSERT_TRUE(gated.ok());
+  EXPECT_EQ(evals, candidates) << "one scan per DB candidate";
+  EXPECT_GE(samples, evals * gated->trace.num_samples())
+      << "every scan visits at least one full column";
 }
 
 // The report must not depend on which identically-configured pipeline

@@ -4,6 +4,9 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -124,6 +127,94 @@ TEST(AssessmentJsonTest, ExportCarriesAllSections) {
             std::count(json.begin(), json.end(), '}'));
   EXPECT_EQ(std::count(json.begin(), json.end(), '['),
             std::count(json.begin(), json.end(), ']'));
+}
+
+// The report's negotiability block must be scored with the pipeline's own
+// profiler: at a non-default rho its verdicts must match the negotiable
+// list the rationale printed for the same recommendation. The trace holds
+// each dimension at its peak for 20% of the time — negotiable at rho 0.25
+// (score 0.8 > 0.75) but not at the default 0.10 (0.8 <= 0.9) — and the
+// CPU peaks make the curve complex, so the rationale lists its profile.
+TEST(AssessmentJsonTest, NegotiabilityBlockUsesThePipelinesRho) {
+  catalog::SkuCatalog skus = catalog::BuildAzureLikeCatalog();
+  const catalog::DefaultPricing pricing;
+  const core::NonParametricEstimator estimator;
+  StatusOr<core::GroupModel> model = dma::FitGroupModelOffline(
+      skus, pricing, estimator, Deployment::kSqlDb, 40, 13);
+  ASSERT_TRUE(model.ok());
+  dma::SkuRecommendationPipeline::Config config;
+  config.rho = 0.25;
+  config.num_threads = 1;
+  StatusOr<dma::SkuRecommendationPipeline> pipeline =
+      dma::SkuRecommendationPipeline::Create(
+          {std::move(skus), *std::move(model)}, config);
+  ASSERT_TRUE(pipeline.ok());
+
+  const std::size_t n = 7 * 144;
+  telemetry::PerfTrace trace;
+  const auto peaked = [n](double base, double peak) {
+    std::vector<double> series(n, base);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (i % 5 == 0) series[i] = peak;
+    }
+    return series;
+  };
+  ASSERT_TRUE(trace.SetSeries(ResourceDim::kCpu, peaked(2.0, 10.0)).ok());
+  ASSERT_TRUE(trace.SetSeries(ResourceDim::kMemoryGb, peaked(8.0, 20.0)).ok());
+  ASSERT_TRUE(trace.SetSeries(ResourceDim::kIops, peaked(300.0, 900.0)).ok());
+  ASSERT_TRUE(
+      trace.SetSeries(ResourceDim::kLogRateMbps, peaked(2.0, 6.0)).ok());
+
+  dma::AssessmentRequest request;
+  request.customer_id = "rho-customer";
+  request.target = Deployment::kSqlDb;
+  request.database_traces = {trace};
+  StatusOr<dma::AssessmentOutcome> outcome = pipeline->Assess(request);
+  ASSERT_TRUE(outcome.ok());
+  ASSERT_NE(outcome->elastic.curve_shape, core::CurveShape::kFlat);
+
+  // The rationale's list: "(negotiable: cpu, memory, ...)".
+  const std::string& rationale = outcome->elastic.rationale;
+  const std::string marker = "(negotiable: ";
+  const std::size_t open = rationale.find(marker);
+  ASSERT_NE(open, std::string::npos) << rationale;
+  const std::size_t close = rationale.find(')', open);
+  std::vector<std::string> listed;
+  std::stringstream items(
+      rationale.substr(open + marker.size(), close - open - marker.size()));
+  for (std::string item; std::getline(items, item, ',');) {
+    listed.push_back(item.substr(item.find_first_not_of(' ')));
+  }
+
+  // The JSON block's verdicts, in block order.
+  const std::string json = dma::RenderAssessmentJson(*outcome);
+  const std::size_t block = json.find("\"negotiability\":[");
+  ASSERT_NE(block, std::string::npos);
+  const std::string entries = json.substr(block, json.find(']', block) - block);
+  std::vector<std::string> flagged;
+  std::size_t scored_between_cutoffs = 0;
+  // Entries render as {"dimension":"cpu","score":0.8,"negotiable":true}.
+  const std::string dim_key = "\"dimension\":\"";
+  const std::string score_key = "\"score\":";
+  const std::string verdict_key = "\"negotiable\":";
+  for (std::size_t at = entries.find(dim_key); at != std::string::npos;
+       at = entries.find(dim_key, at + 1)) {
+    const std::size_t name_begin = at + dim_key.size();
+    const std::string name =
+        entries.substr(name_begin, entries.find('"', name_begin) - name_begin);
+    const std::size_t score_at = entries.find(score_key, at);
+    const std::size_t verdict_at = entries.find(verdict_key, at);
+    ASSERT_NE(score_at, std::string::npos);
+    ASSERT_NE(verdict_at, std::string::npos);
+    const double score = std::stod(entries.substr(score_at + score_key.size()));
+    if (entries.compare(verdict_at + verdict_key.size(), 4, "true") == 0) {
+      flagged.push_back(name);
+    }
+    scored_between_cutoffs += score > 0.75 && score <= 0.9;
+  }
+  EXPECT_EQ(flagged, listed) << rationale << "\n" << entries;
+  // The case only discriminates when rho decides some verdict.
+  EXPECT_GT(scored_between_cutoffs, 0u) << entries;
 }
 
 // --------------------------------------------- Parser robustness.

@@ -187,40 +187,6 @@ TEST(KernelLayerTest, MarkKernelsMatchScalarAndOnlyCountFreshRows) {
   }
 }
 
-TEST(KernelLayerTest, BitsetKernelsMatchScalarAndZeroPadding) {
-  for (const KernelOps* impl : AvailableImpls()) {
-    Rng rng(1234);
-    for (std::size_t n : kRowCounts) {
-      const AlignedVector<double> values = MakeColumn(rng, n);
-      const AlignedVector<double> limits = MakeColumn(rng, n);
-      const std::size_t num_words = (n + 63) / 64;
-      // Poisoned output buffers verify every word is written (the kernels
-      // promise callers need not pre-zero).
-      AlignedVector<std::uint64_t> words_ref(num_words, ~std::uint64_t{0});
-      AlignedVector<std::uint64_t> words_impl(num_words, ~std::uint64_t{0});
-      const std::size_t expected = Scalar().bitset_above(
-          values.data(), limits.data(), n, words_ref.data());
-      const std::size_t got = impl->bitset_above(
-          values.data(), limits.data(), n, words_impl.data());
-      EXPECT_EQ(got, expected) << impl->name << " n=" << n;
-      EXPECT_EQ(words_impl, words_ref) << impl->name << " n=" << n;
-      EXPECT_TRUE(PaddingBitsAreZero(words_impl.data(), num_words, n))
-          << impl->name << " n=" << n;
-
-      words_ref.assign(num_words, ~std::uint64_t{0});
-      words_impl.assign(num_words, ~std::uint64_t{0});
-      const std::size_t expected_below = Scalar().bitset_below(
-          values.data(), limits.data(), n, words_ref.data());
-      const std::size_t got_below = impl->bitset_below(
-          values.data(), limits.data(), n, words_impl.data());
-      EXPECT_EQ(got_below, expected_below) << impl->name << " n=" << n;
-      EXPECT_EQ(words_impl, words_ref) << impl->name << " n=" << n;
-      EXPECT_TRUE(PaddingBitsAreZero(words_impl.data(), num_words, n))
-          << impl->name << " n=" << n;
-    }
-  }
-}
-
 TEST(KernelLayerTest, KdeKernelsAreBitIdenticalToScalar) {
   for (const KernelOps* impl : AvailableImpls()) {
     Rng rng(555);

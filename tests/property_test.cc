@@ -328,17 +328,15 @@ TEST_P(EngineProperty, ColumnarScanMatchesNaiveRowMajorReference) {
   }
 }
 
-// The batch curve evaluator answers every candidate from memoized
-// exceedance bitsets instead of re-scanning columns (DESIGN.md §9). Like
-// the columnar scan above, it is an evaluation strategy, not a model: the
-// probabilities must match the naive row-major reference EXACTLY — over
-// the whole catalog, with a candidate tied exactly at an observed demand
-// value, with a single-dimension (inverted-latency) candidate that takes
-// the no-union fast path — at every job count, with and without a stats
-// cache.
+// The batch curve evaluator runs one columnar scan per candidate
+// (DESIGN.md §9), optionally fanned out over a pool. Like the scan above,
+// it is an evaluation strategy, not a model: the probabilities must match
+// the naive row-major reference EXACTLY — over the whole catalog, with a
+// candidate tied exactly at an observed demand value, with a
+// single-dimension (inverted-latency) candidate that takes the no-union
+// fast path — at every job count.
 TEST_P(EngineProperty, BatchCurveProbabilitiesMatchNaiveRowMajorReference) {
   const telemetry::PerfTrace trace = RandomTrace(GetParam());
-  const telemetry::TraceStatsCache cache(trace);
 
   std::vector<catalog::ResourceVector> capacities;
   for (const catalog::Sku& sku : catalog_->skus()) {
@@ -369,18 +367,13 @@ TEST_P(EngineProperty, BatchCurveProbabilitiesMatchNaiveRowMajorReference) {
       pool.emplace(jobs);
       executor = &*pool;
     }
-    for (const telemetry::TraceStatsCache* stats :
-         {static_cast<const telemetry::TraceStatsCache*>(nullptr), &cache}) {
-      StatusOr<std::vector<double>> batch =
-          estimator_->EstimateCurveProbabilities(trace, capacities, executor,
-                                                 stats);
-      ASSERT_TRUE(batch.ok());
-      ASSERT_EQ(batch->size(), expected.size());
-      for (std::size_t i = 0; i < expected.size(); ++i) {
-        EXPECT_EQ((*batch)[i], expected[i])
-            << "candidate " << i << " jobs " << jobs << " stats "
-            << (stats != nullptr);
-      }
+    StatusOr<std::vector<double>> batch =
+        estimator_->EstimateCurveProbabilities(trace, capacities, executor);
+    ASSERT_TRUE(batch.ok());
+    ASSERT_EQ(batch->size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ((*batch)[i], expected[i])
+          << "candidate " << i << " jobs " << jobs;
     }
   }
 }
@@ -420,8 +413,7 @@ TEST_P(EngineProperty, BatchCurveProbabilitiesAreKernelImplInvariant) {
         executor = &*pool;
       }
       StatusOr<std::vector<double>> batch =
-          estimator_->EstimateCurveProbabilities(trace, capacities, executor,
-                                                 nullptr);
+          estimator_->EstimateCurveProbabilities(trace, capacities, executor);
       ASSERT_TRUE(batch.ok());
       ASSERT_EQ(batch->size(), expected.size());
       for (std::size_t i = 0; i < expected.size(); ++i) {

@@ -1,13 +1,20 @@
-// The amortized exceedance index (core/exceedance_index.h, DESIGN.md §9)
-// and the batch curve evaluator built on it. The binding property
-// throughout: the index is an evaluation-strategy change, never a model
-// change — every count, probability and counter total must be an exact
-// function of (trace, capacities), bit-identical to the scalar scan and
-// independent of thread count or memo build order.
+// Paper Eq. 1 as the engine evaluates it: one columnar scan per candidate
+// SKU (NonParametricEstimator::Probability, DESIGN.md §9), and the batch
+// curve evaluator that runs those scans in candidate order. The binding
+// property throughout: every count, probability and counter total is an
+// exact function of (trace, capacities), bit-identical to the naive
+// row-major oracle and independent of thread count.
+//
+// The ExceedanceIndexTest cases first pinned a memoized argsort index that
+// has since been deleted in favour of the plain scan; the suite keeps its
+// name and now holds the same Eq. 1 cases (ties at capacity, the inverted
+// latency dimension, single-dimension traces, the no-shared-dimension
+// error, moving capacity) against the scan.
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <numeric>
 #include <optional>
 #include <vector>
 
@@ -15,12 +22,13 @@
 
 #include "catalog/catalog.h"
 #include "catalog/compiled_catalog.h"
-#include "core/exceedance_index.h"
+#include "core/price_performance.h"
 #include "core/throttling.h"
 #include "exec/thread_pool.h"
 #include "obs/metrics.h"
 #include "telemetry/perf_trace.h"
 #include "telemetry/trace_stats.h"
+#include "util/aligned.h"
 #include "util/random.h"
 
 namespace doppler {
@@ -28,8 +36,6 @@ namespace {
 
 using catalog::ResourceDim;
 using catalog::ResourceVector;
-using core::ExceedanceIndex;
-using core::ExceedanceSet;
 
 std::uint64_t CounterValue(const char* name) {
   return obs::DefaultMetrics().GetCounter(name)->Value();
@@ -75,8 +81,10 @@ std::size_t NaiveUnionCount(const telemetry::PerfTrace& trace,
   return throttled;
 }
 
-bool SetContainsRow(const ExceedanceSet& set, std::size_t row) {
-  return (set.words[row / 64] >> (row % 64)) & 1u;
+double NaiveProbability(const telemetry::PerfTrace& trace,
+                        const ResourceVector& capacities) {
+  return static_cast<double>(NaiveUnionCount(trace, capacities)) /
+         static_cast<double>(trace.num_samples());
 }
 
 // Capacity values worth probing for one dimension: observed values (exact
@@ -84,51 +92,64 @@ bool SetContainsRow(const ExceedanceSet& set, std::size_t row) {
 std::vector<double> ProbeCapacities(const telemetry::PerfTrace& trace,
                                     ResourceDim dim) {
   const std::vector<double>& values = trace.Values(dim);
-  std::vector<double> probes = {values[0], values[values.size() / 2],
-                                values[0] + 0.25, values[0] - 0.25, -1.0,
-                                1e12, 0.0};
-  return probes;
+  return {values[0], values[values.size() / 2], values[0] + 0.25,
+          values[0] - 0.25, -1.0, 1e12, 0.0};
+}
+
+// The pre-stable-sort formula of TraceStatsCache::Sorted: argsort the rows
+// by (value, row index), then gather the values through the permutation.
+std::vector<double> ArgsortGather(const std::vector<double>& values) {
+  std::vector<std::uint32_t> perm(values.size());
+  std::iota(perm.begin(), perm.end(), std::uint32_t{0});
+  std::sort(perm.begin(), perm.end(), [&values](std::uint32_t a,
+                                                std::uint32_t b) {
+    if (values[a] != values[b]) return values[a] < values[b];
+    return a < b;
+  });
+  std::vector<double> gathered;
+  gathered.reserve(values.size());
+  for (std::uint32_t row : perm) gathered.push_back(values[row]);
+  return gathered;
+}
+
+// Bitwise equality: distinguishes 0.0 from -0.0, which operator== does not.
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (std::signbit(a[i]) != std::signbit(b[i]) || !(a[i] == b[i])) {
+      return false;
+    }
+  }
+  return true;
 }
 
 TEST(ExceedanceIndexTest, SetMatchesDirectScanIncludingTies) {
+  // One dimension at a time: the scan's count of rows exceeding a capacity
+  // — strictly, so rows tied AT the capacity stay out — equals a direct
+  // per-row Exceeds count, on every probe including exact ties.
   const telemetry::PerfTrace trace = MakeTrace(42, 301);
-  const ExceedanceIndex index(trace, TraceDims(trace));
+  const core::NonParametricEstimator estimator;
+  const double n = static_cast<double>(trace.num_samples());
   for (ResourceDim dim : TraceDims(trace)) {
     const std::vector<double>& values = trace.Values(dim);
     for (double capacity : ProbeCapacities(trace, dim)) {
-      const ExceedanceSet& set = index.SetFor(dim, capacity);
       std::size_t expected = 0;
-      for (std::size_t row = 0; row < values.size(); ++row) {
-        const bool exceeds =
-            ResourceVector::Exceeds(dim, values[row], capacity);
-        expected += exceeds;
-        EXPECT_EQ(SetContainsRow(set, row), exceeds)
-            << catalog::ResourceDimName(dim) << " capacity " << capacity
-            << " row " << row;
+      for (double value : values) {
+        expected += ResourceVector::Exceeds(dim, value, capacity);
       }
-      EXPECT_EQ(set.count, expected);
+      ResourceVector capacities;
+      capacities.Set(dim, capacity);
+      StatusOr<double> p = estimator.Probability(trace, capacities);
+      ASSERT_TRUE(p.ok());
+      EXPECT_EQ(*p, static_cast<double>(expected) / n)
+          << catalog::ResourceDimName(dim) << " capacity " << capacity;
     }
-  }
-}
-
-TEST(ExceedanceIndexTest, PaddingBitsStayZero) {
-  // 301 rows -> 5 words, 19 padding bits that must never be set (they
-  // would corrupt popcounts).
-  const telemetry::PerfTrace trace = MakeTrace(7, 301);
-  const ExceedanceIndex index(trace, TraceDims(trace));
-  const ExceedanceSet& all =
-      index.SetFor(ResourceDim::kCpu, -1.0);  // every row exceeds
-  ASSERT_EQ(all.count, trace.num_samples());
-  ASSERT_GE(all.num_words, 1u);
-  const std::uint64_t last_word = all.words[all.num_words - 1];
-  for (std::size_t bit = trace.num_samples() % 64; bit < 64; ++bit) {
-    EXPECT_EQ((last_word >> bit) & 1u, 0u) << "padding bit " << bit;
   }
 }
 
 TEST(ExceedanceIndexTest, UnionCountMatchesNaiveReference) {
   const telemetry::PerfTrace trace = MakeTrace(9, 500);
-  const ExceedanceIndex index(trace, TraceDims(trace));
+  const core::NonParametricEstimator estimator;
   Rng rng(17);
   for (int i = 0; i < 50; ++i) {
     ResourceVector capacities;
@@ -138,101 +159,151 @@ TEST(ExceedanceIndexTest, UnionCountMatchesNaiveReference) {
     // Inverted: the workload is throttled when demand sits BELOW this.
     capacities.Set(ResourceDim::kIoLatencyMs,
                    0.5 * std::floor(rng.Uniform(0.0, 24.0)));
-    EXPECT_EQ(index.CountExceedingUnion(capacities),
-              NaiveUnionCount(trace, capacities))
-        << "vector " << i;
+    StatusOr<double> p = estimator.Probability(trace, capacities);
+    ASSERT_TRUE(p.ok());
+    EXPECT_EQ(*p, NaiveProbability(trace, capacities)) << "vector " << i;
   }
 }
 
 TEST(ExceedanceIndexTest, SingleDimFastPathMatchesMemoizedCount) {
-  const telemetry::PerfTrace trace = MakeTrace(11, 200);
-  const ExceedanceIndex index(trace, TraceDims(trace));
-  for (ResourceDim dim : TraceDims(trace)) {
-    ResourceVector capacities;
-    const double capacity = trace.Values(dim)[42];
-    capacities.Set(dim, capacity);
-    EXPECT_EQ(index.CountExceedingUnion(capacities),
-              index.SetFor(dim, capacity).count);
-    EXPECT_EQ(index.CountExceedingUnion(capacities),
-              NaiveUnionCount(trace, capacities));
+  // A single shared dimension takes the count kernel instead of the mark
+  // scan. Its count must equal the exceedance run read off the stats
+  // cache's memoized sorted column (and the naive oracle), both on a
+  // multi-dimension trace priced in one dimension and on a trace that
+  // carries only one dimension.
+  const telemetry::PerfTrace wide = MakeTrace(11, 200);
+  telemetry::PerfTrace narrow;
+  ASSERT_TRUE(narrow
+                  .SetSeries(ResourceDim::kIoLatencyMs,
+                             wide.Values(ResourceDim::kIoLatencyMs))
+                  .ok());
+  const core::NonParametricEstimator estimator;
+  for (const telemetry::PerfTrace* trace :
+       std::vector<const telemetry::PerfTrace*>{&wide, &narrow}) {
+    const telemetry::TraceStatsCache stats(*trace);
+    for (ResourceDim dim : TraceDims(*trace)) {
+      const double capacity = trace->Values(dim)[42];
+      const std::vector<double>& sorted = stats.Sorted(dim);
+      const std::size_t memoized =
+          catalog::IsInvertedDim(dim)
+              ? static_cast<std::size_t>(
+                    std::lower_bound(sorted.begin(), sorted.end(), capacity) -
+                    sorted.begin())
+              : static_cast<std::size_t>(
+                    sorted.end() -
+                    std::upper_bound(sorted.begin(), sorted.end(), capacity));
+      ResourceVector capacities;
+      capacities.Set(dim, capacity);
+      // A full catalog vector too: on the narrow trace only the one dim is
+      // shared, so it must take the same single-column path.
+      ResourceVector priced_everywhere = capacities;
+      for (ResourceDim other : catalog::kAllResourceDims) {
+        if (!trace->Has(other)) priced_everywhere.Set(other, 1.0);
+      }
+      const double expected = static_cast<double>(memoized) /
+                              static_cast<double>(trace->num_samples());
+      StatusOr<double> p = estimator.Probability(*trace, capacities);
+      ASSERT_TRUE(p.ok());
+      EXPECT_EQ(*p, expected) << catalog::ResourceDimName(dim);
+      EXPECT_EQ(*p, NaiveProbability(*trace, capacities));
+      StatusOr<double> q = estimator.Probability(*trace, priced_everywhere);
+      ASSERT_TRUE(q.ok());
+      EXPECT_EQ(*q, NaiveProbability(*trace, priced_everywhere));
+    }
   }
 }
 
-TEST(ExceedanceIndexTest, MemoizesPerDistinctCapacity) {
-  const telemetry::PerfTrace trace = MakeTrace(23, 150);
-  const ExceedanceIndex index(trace, TraceDims(trace));
-  const std::uint64_t hits0 = CounterValue("ppm.index_hits");
-  const std::uint64_t misses0 = CounterValue("ppm.index_misses");
-  const std::uint64_t samples0 = CounterValue("ppm.samples_scanned");
+TEST(ExceedanceIndexTest, NoSharedDimensionIsAnError) {
+  const telemetry::PerfTrace trace = MakeTrace(12, 64);
+  const core::NonParametricEstimator estimator;
+  ResourceVector disjoint;
+  disjoint.Set(ResourceDim::kStorageGb, 100.0);
+  disjoint.Set(ResourceDim::kWorkers, 8.0);
+  StatusOr<double> p = estimator.Probability(trace, disjoint);
+  ASSERT_FALSE(p.ok());
+  EXPECT_EQ(p.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(estimator.Probability(telemetry::PerfTrace(), disjoint).ok());
+}
 
-  const ExceedanceSet& first = index.SetFor(ResourceDim::kCpu, 8.0);
-  EXPECT_EQ(CounterValue("ppm.index_misses") - misses0, 1u);
-  EXPECT_EQ(CounterValue("ppm.samples_scanned") - samples0, first.count);
-
-  const ExceedanceSet& again = index.SetFor(ResourceDim::kCpu, 8.0);
-  EXPECT_EQ(&first, &again);  // node-stable memo, same object
-  EXPECT_EQ(CounterValue("ppm.index_hits") - hits0, 1u);
-  EXPECT_EQ(CounterValue("ppm.index_misses") - misses0, 1u);
-  // A hit re-reads nothing.
-  EXPECT_EQ(CounterValue("ppm.samples_scanned") - samples0, first.count);
-
-  // A distinct capacity (and the same value on another dimension) are
-  // separate memo entries.
-  index.SetFor(ResourceDim::kCpu, 4.0);
-  index.SetFor(ResourceDim::kMemoryGb, 8.0);
-  EXPECT_EQ(CounterValue("ppm.index_misses") - misses0, 3u);
+TEST(ExceedanceIndexTest, MovingCapacityMatchesNaiveReference) {
+  // Serverless autoscale: CPU's limit is a per-row series. The scan must
+  // count a row when the moving CPU limit OR any constant limit (latency
+  // inverted) is exceeded, exactly like a row-major oracle.
+  const telemetry::PerfTrace trace = MakeTrace(13, 333);
+  const core::NonParametricEstimator estimator;
+  Rng rng(29);
+  for (int round = 0; round < 10; ++round) {
+    ResourceVector capacities;
+    capacities.Set(ResourceDim::kCpu, 1e12);  // superseded by the series
+    capacities.Set(ResourceDim::kMemoryGb, rng.Uniform(20.0, 70.0));
+    capacities.Set(ResourceDim::kIoLatencyMs,
+                   0.5 * std::floor(rng.Uniform(0.0, 8.0)));
+    core::MovingCapacity moving;
+    moving.dim = ResourceDim::kCpu;
+    for (std::size_t t = 0; t < trace.num_samples(); ++t) {
+      // Whole vCores, so ties against the quantised demand are common.
+      moving.capacity.push_back(std::floor(rng.Uniform(4.0, 18.0)));
+    }
+    std::size_t expected = 0;
+    for (std::size_t t = 0; t < trace.num_samples(); ++t) {
+      bool any = trace.Values(ResourceDim::kCpu)[t] > moving.capacity[t];
+      any |= ResourceVector::Exceeds(
+          ResourceDim::kMemoryGb, trace.Values(ResourceDim::kMemoryGb)[t],
+          capacities.Get(ResourceDim::kMemoryGb));
+      any |= ResourceVector::Exceeds(
+          ResourceDim::kIoLatencyMs,
+          trace.Values(ResourceDim::kIoLatencyMs)[t],
+          capacities.Get(ResourceDim::kIoLatencyMs));
+      expected += any;
+    }
+    StatusOr<double> p = estimator.ProbabilityMoving(trace, capacities, moving);
+    ASSERT_TRUE(p.ok());
+    EXPECT_EQ(*p, static_cast<double>(expected) /
+                      static_cast<double>(trace.num_samples()))
+        << "round " << round;
+  }
 }
 
 TEST(ExceedanceIndexTest, StatsCacheBackedIndexIsBitIdentical) {
-  const telemetry::PerfTrace trace = MakeTrace(31, 400);
-  const telemetry::TraceStatsCache cache(trace);
-  // Argsort invariant the index leans on: gathering through the
-  // permutation reproduces the sorted series.
-  for (ResourceDim dim : TraceDims(trace)) {
-    const std::vector<double>& values = trace.Values(dim);
-    const std::vector<std::uint32_t>& perm = cache.Argsort(dim);
-    const std::vector<double>& sorted = cache.Sorted(dim);
-    ASSERT_EQ(perm.size(), values.size());
-    for (std::size_t i = 0; i < perm.size(); ++i) {
-      EXPECT_EQ(sorted[i], values[perm[i]]);
+  // TraceStatsCache::Sorted is a stable sort of a copy; it must reproduce
+  // the argsort-gather it replaced bit for bit — on heavy ties and on
+  // columns mixing 0.0 and -0.0, which compare equal but differ in sign, so
+  // only a stable (row-order) tie-break gives the same bytes.
+  Rng rng(31);
+  for (int round = 0; round < 20; ++round) {
+    const std::size_t n = 1 + rng.UniformInt(400);
+    std::vector<double> ties(n), zeros(n), mixed(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      ties[i] = static_cast<double>(rng.UniformInt(5));
+      zeros[i] = rng.Uniform() < 0.5 ? 0.0 : -0.0;
+      const double pick = rng.Uniform();
+      mixed[i] = pick < 0.3 ? 0.0 : pick < 0.6 ? -0.0 : rng.Uniform(-2.0, 2.0);
+    }
+    telemetry::PerfTrace trace;
+    ASSERT_TRUE(trace.SetSeries(ResourceDim::kCpu, ties).ok());
+    ASSERT_TRUE(trace.SetSeries(ResourceDim::kMemoryGb, zeros).ok());
+    ASSERT_TRUE(trace.SetSeries(ResourceDim::kIops, mixed).ok());
+    const telemetry::TraceStatsCache cache(trace);
+    for (ResourceDim dim : TraceDims(trace)) {
+      EXPECT_TRUE(SameBits(cache.Sorted(dim), ArgsortGather(trace.Values(dim))))
+          << catalog::ResourceDimName(dim) << " round " << round;
     }
   }
-
-  const ExceedanceIndex with_cache(trace, TraceDims(trace), &cache);
-  const ExceedanceIndex without(trace, TraceDims(trace));
-  Rng rng(77);
-  for (int i = 0; i < 30; ++i) {
-    ResourceVector capacities;
-    capacities.Set(ResourceDim::kCpu, std::floor(rng.Uniform(0.0, 18.0)));
-    capacities.Set(ResourceDim::kIoLatencyMs, rng.Uniform(0.0, 12.0));
-    capacities.Set(ResourceDim::kIops, rng.Uniform(0.0, 6000.0));
-    EXPECT_EQ(with_cache.CountExceedingUnion(capacities),
-              without.CountExceedingUnion(capacities));
-  }
-
-  // A cache over a DIFFERENT trace object must be ignored, not misused.
-  const telemetry::PerfTrace other = MakeTrace(32, 400);
-  const telemetry::TraceStatsCache other_cache(other);
-  const ExceedanceIndex defensive(trace, TraceDims(trace), &other_cache);
-  ResourceVector capacities;
-  capacities.Set(ResourceDim::kCpu, 8.0);
-  EXPECT_EQ(defensive.CountExceedingUnion(capacities),
-            without.CountExceedingUnion(capacities));
 }
 
 TEST(ExceedanceIndexTest, TrimScratchReleasesOnlyOversizedBuffers) {
   std::vector<std::uint64_t> small(128, 0);
-  core::TrimScratch(small);
+  TrimScratch(small);
   EXPECT_GE(small.capacity(), 128u);  // within the retain cap: kept
 
   std::vector<std::uint64_t> big;
-  big.resize(core::kScratchRetainBytes / sizeof(std::uint64_t) + 1);
-  core::TrimScratch(big);
+  big.resize(kScratchRetainBytes / sizeof(std::uint64_t) + 1);
+  TrimScratch(big);
   EXPECT_EQ(big.capacity(), 0u);  // oversized: released
 }
 
 // ---------------------------------------------------------------------------
-// Batch curve evaluation through NonParametricEstimator.
+// Batch curve evaluation through ThrottlingEstimator.
 
 class BatchEvaluationTest : public ::testing::Test {
  protected:
@@ -263,7 +334,6 @@ core::NonParametricEstimator* BatchEvaluationTest::estimator_ = nullptr;
 TEST_F(BatchEvaluationTest, MatchesScalarProbabilityExactlyAtAnyJobCount) {
   const telemetry::PerfTrace trace = MakeTrace(55, 700);
   const std::vector<ResourceVector> capacities = CatalogCapacities();
-  const telemetry::TraceStatsCache cache(trace);
 
   std::vector<double> expected;
   for (const ResourceVector& candidate : capacities) {
@@ -279,17 +349,13 @@ TEST_F(BatchEvaluationTest, MatchesScalarProbabilityExactlyAtAnyJobCount) {
       pool.emplace(jobs);
       executor = &*pool;
     }
-    for (const telemetry::TraceStatsCache* stats :
-         {static_cast<const telemetry::TraceStatsCache*>(nullptr), &cache}) {
-      StatusOr<std::vector<double>> batch =
-          estimator_->EstimateCurveProbabilities(trace, capacities, executor,
-                                                 stats);
-      ASSERT_TRUE(batch.ok());
-      ASSERT_EQ(batch->size(), expected.size());
-      for (std::size_t i = 0; i < expected.size(); ++i) {
-        EXPECT_EQ((*batch)[i], expected[i])
-            << "jobs " << jobs << " candidate " << i;
-      }
+    StatusOr<std::vector<double>> batch =
+        estimator_->EstimateCurveProbabilities(trace, capacities, executor);
+    ASSERT_TRUE(batch.ok());
+    ASSERT_EQ(batch->size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ((*batch)[i], expected[i])
+          << "jobs " << jobs << " candidate " << i;
     }
   }
 }
@@ -350,46 +416,11 @@ TEST_F(BatchEvaluationTest, CompiledViewOverloadMatchesVectorOverload) {
   EXPECT_EQ(*from_view, *from_vector);
 }
 
-TEST_F(BatchEvaluationTest, MissesBoundedByDistinctCapacityTable) {
-  const telemetry::PerfTrace trace = MakeTrace(59, 300);
-  const catalog::DefaultPricing pricing;
-  const catalog::CompiledCatalog compiled = catalog::CompiledCatalog::Compile(
-      *catalog_, &pricing);
-  const catalog::CompiledDeployment& deployment =
-      compiled.ForDeployment(catalog::Deployment::kSqlDb);
-
-  // DistinctCapacities is the sorted-unique view of CapacityRow.
-  std::size_t distinct_total = 0;
-  for (ResourceDim dim : catalog::kAllResourceDims) {
-    const auto& row = deployment.CapacityRow(dim);
-    std::vector<double> expected(row.begin(), row.end());
-    std::sort(expected.begin(), expected.end());
-    expected.erase(std::unique(expected.begin(), expected.end()),
-                   expected.end());
-    EXPECT_EQ(deployment.DistinctCapacities(dim), expected);
-    distinct_total += expected.size();
-  }
-
-  // A full-deployment batch build can materialise at most one bitset per
-  // distinct (dimension, capacity) — the amortisation the index exists
-  // for. (Dimensions absent from the trace don't even get that.)
-  const std::uint64_t misses0 = CounterValue("ppm.index_misses");
-  StatusOr<std::vector<double>> batch =
-      estimator_->EstimateCurveProbabilities(trace, deployment.view());
-  ASSERT_TRUE(batch.ok());
-  const std::uint64_t misses = CounterValue("ppm.index_misses") - misses0;
-  EXPECT_LE(misses, distinct_total);
-  EXPECT_LT(misses, deployment.size() * TraceDims(trace).size());
-  EXPECT_GT(misses, 0u);
-}
-
 TEST_F(BatchEvaluationTest, CounterTotalsAreScheduleIndependent) {
   const telemetry::PerfTrace trace = MakeTrace(60, 400);
   const std::vector<ResourceVector> capacities = CatalogCapacities();
   const char* const counters[] = {"ppm.throttling_evaluations",
-                                  "ppm.samples_scanned", "ppm.index_hits",
-                                  "ppm.index_misses",
-                                  "ppm.index_union_words"};
+                                  "ppm.samples_scanned"};
   std::vector<std::vector<std::uint64_t>> deltas;
   for (int jobs : {1, 2, 8}) {
     std::vector<std::uint64_t> before;
@@ -415,30 +446,35 @@ TEST_F(BatchEvaluationTest, CounterTotalsAreScheduleIndependent) {
   }
 }
 
-// TSan target: one index (and one bound KDE estimator) shared by many
-// workers; results must match the serial evaluation and the memo must not
-// race.
+// TSan target: one trace, its stats cache and a bound KDE estimator (the
+// lazily built per-dimension state the engine shares) read by many
+// workers at once; results must match the serial evaluation.
 TEST_F(BatchEvaluationTest, SharedIndexSurvivesConcurrentEvaluation) {
   const telemetry::PerfTrace trace = MakeTrace(61, 600);
   const telemetry::TraceStatsCache cache(trace);
-  const ExceedanceIndex index(trace, TraceDims(trace), &cache);
   const std::vector<ResourceVector> capacities = CatalogCapacities();
 
-  std::vector<std::size_t> serial(capacities.size());
+  std::vector<double> serial(capacities.size());
   for (std::size_t i = 0; i < capacities.size(); ++i) {
-    serial[i] = index.CountExceedingUnion(capacities[i]);
+    serial[i] = *estimator_->Probability(trace, capacities[i]);
   }
 
   exec::ThreadPool pool(8);
   for (int round = 0; round < 4; ++round) {
-    std::vector<std::size_t> parallel(capacities.size());
+    std::vector<double> parallel(capacities.size());
+    std::vector<double> quantiles(capacities.size());
     pool.ParallelFor(capacities.size(),
                      [&](std::size_t begin, std::size_t end) {
                        for (std::size_t i = begin; i < end; ++i) {
-                         parallel[i] = index.CountExceedingUnion(capacities[i]);
+                         parallel[i] =
+                             *estimator_->Probability(trace, capacities[i]);
+                         quantiles[i] = cache.Quantile(ResourceDim::kCpu, 0.95);
                        }
                      });
     EXPECT_EQ(parallel, serial);
+    for (double q : quantiles) {
+      EXPECT_EQ(q, cache.Quantile(ResourceDim::kCpu, 0.95));
+    }
   }
 
   // Bound KDE estimator: lazily fitted per-dimension models shared across
@@ -510,11 +546,52 @@ TEST(ScanCounterTest, SamplesScannedReflectsRowsActuallyVisited) {
             3 * trace.num_samples());
 }
 
+TEST(ScanCounterTest, CurveChargesEveryCandidateScan) {
+  // A curve is one scan per candidate, so the curve's samples_scanned is
+  // the sum of what each candidate's own scan charges — nothing hidden in
+  // a set-up step, nothing amortised away.
+  const telemetry::PerfTrace trace = MakeTrace(65, 300);
+  const core::NonParametricEstimator estimator;
+  const catalog::DefaultPricing pricing;
+  const catalog::CompiledCatalog compiled = catalog::CompiledCatalog::Compile(
+      catalog::BuildAzureLikeCatalog(), &pricing);
+  const catalog::CompiledView view =
+      compiled.ForDeployment(catalog::Deployment::kSqlDb).view();
+
+  std::uint64_t per_candidate = 0;
+  for (const catalog::CompiledEntry& entry : view) {
+    const std::uint64_t before = CounterValue("ppm.samples_scanned");
+    ASSERT_TRUE(estimator.Probability(trace, entry.capacities).ok());
+    per_candidate += CounterValue("ppm.samples_scanned") - before;
+  }
+  const std::uint64_t before = CounterValue("ppm.samples_scanned");
+  ASSERT_TRUE(core::PricePerformanceCurve::Build(trace, view,
+                                                 compiled.pricing(), estimator)
+                  .ok());
+  EXPECT_EQ(CounterValue("ppm.samples_scanned") - before, per_candidate);
+  EXPECT_GE(per_candidate, view.size() * trace.num_samples());
+}
+
+TEST(ScanCounterTest, RowsSortedChargedOncePerDimensionBuild) {
+  const telemetry::PerfTrace trace = MakeTrace(66, 250);
+  const telemetry::TraceStatsCache cache(trace);
+  const std::uint64_t before = CounterValue("stats.rows_sorted");
+  for (int pass = 0; pass < 3; ++pass) {
+    for (ResourceDim dim : TraceDims(trace)) cache.Sorted(dim);
+  }
+  // Memoized: the repeat passes sort nothing.
+  EXPECT_EQ(CounterValue("stats.rows_sorted") - before,
+            TraceDims(trace).size() * trace.num_samples());
+  // An absent dimension has nothing to sort.
+  cache.Sorted(ResourceDim::kWorkers);
+  EXPECT_EQ(CounterValue("stats.rows_sorted") - before,
+            TraceDims(trace).size() * trace.num_samples());
+}
+
 // Regression guard for the eviction/mutation hazard (DESIGN.md §13): the
 // streaming monitor mutates a window trace between assessments while the
-// stats cache and exceedance index built over it stay alive. Before the
-// generation counter, both caches kept serving sorted state and memoized
-// bitsets from the PREVIOUS window contents.
+// stats cache built over it stays alive. Before the generation counter,
+// the cache kept serving sorted state from the PREVIOUS window contents.
 TEST(GenerationInvalidationTest, StatsCacheRebuildsAfterTraceMutation) {
   telemetry::PerfTrace trace = MakeTrace(7, 64);
   const telemetry::TraceStatsCache stats(trace);
@@ -535,37 +612,6 @@ TEST(GenerationInvalidationTest, StatsCacheRebuildsAfterTraceMutation) {
   const std::vector<double>& sorted = stats.Sorted(ResourceDim::kCpu);
   EXPECT_TRUE(std::is_sorted(sorted.begin(), sorted.end()));
   EXPECT_GE(sorted.front(), 100.0);
-}
-
-TEST(GenerationInvalidationTest, IndexDropsStaleMemoAfterTraceMutation) {
-  // Both borrow modes: argsort borrowed from a stats cache, and the
-  // index's own locally sorted copies.
-  for (const bool with_stats : {true, false}) {
-    telemetry::PerfTrace trace = MakeTrace(11, 96);
-    const telemetry::TraceStatsCache stats(trace);
-    const ExceedanceIndex index(trace, TraceDims(trace),
-                                with_stats ? &stats : nullptr);
-    const double capacity = trace.Values(ResourceDim::kCpu)[3];
-    const std::size_t stale_count =
-        index.SetFor(ResourceDim::kCpu, capacity).count;
-
-    // Push every CPU demand above the capacity: the exceedance set must
-    // become the full window, not the memoized pre-mutation suffix.
-    std::vector<double> raised = trace.Values(ResourceDim::kCpu);
-    for (double& v : raised) v += 1000.0;
-    ASSERT_TRUE(trace.SetSeries(ResourceDim::kCpu, std::move(raised)).ok());
-
-    const ExceedanceSet& fresh = index.SetFor(ResourceDim::kCpu, capacity);
-    EXPECT_EQ(fresh.count, trace.num_samples()) << "with_stats="
-                                                << with_stats;
-    EXPECT_NE(fresh.count, stale_count);
-
-    // The union path flows through the refreshed sets too.
-    ResourceVector capacities;
-    capacities.Set(ResourceDim::kCpu, capacity);
-    capacities.Set(ResourceDim::kMemoryGb, 1e12);
-    EXPECT_EQ(index.CountExceedingUnion(capacities), trace.num_samples());
-  }
 }
 
 }  // namespace

@@ -52,6 +52,7 @@ DEFAULT_COUNTERS = [
     "ppm.samples_scanned",
     "ppm.samples_scanned.azure-db",
     "ppm.samples_scanned.aws-rds",
+    "stats.rows_sorted",
     "stream.rows_patched",
 ]
 DEFAULT_EXACT_COUNTERS = [
