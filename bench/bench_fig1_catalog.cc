@@ -32,6 +32,9 @@ int main() {
           std::string("DB_") + tier + "_Gen5_" + std::to_string(vcores);
       const catalog::Sku sku =
           bench::Unwrap(full_catalog.FindById(id), "catalog lookup");
+      std::string price = "$";
+      price += FormatDouble(sku.price_per_hour, 2);
+      price += "/h";
       table.AddRow({catalog::ServiceTierName(sku.tier),
                     std::to_string(sku.vcores),
                     FormatDouble(sku.max_data_gb, 0) + " GB",
@@ -39,7 +42,7 @@ int main() {
                     FormatDouble(sku.max_iops, 0),
                     FormatDouble(sku.max_log_rate_mbps, 1) + " MBps",
                     FormatDouble(sku.min_io_latency_ms, 0) + " ms",
-                    "$" + FormatDouble(sku.price_per_hour, 2) + "/h"});
+                    price});
     }
   }
   table.Print(std::cout);

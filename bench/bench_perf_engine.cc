@@ -233,98 +233,68 @@ void BM_CurveKde(benchmark::State& state) {
 }
 BENCHMARK(BM_CurveKde)->Arg(7)->Arg(30)->Unit(benchmark::kMillisecond);
 
-// ---- Kernel-layer microbenches (DESIGN.md §15): the dispatched SIMD
-// variant against its forced-scalar twin, same data, same process. The
-// bench gate (tools/check.sh --bench) locks the union pair's wall-time
-// ratio via bench_check.py --speedup — a within-run ratio, so it holds on
-// machines where absolute times do not.
+// ---- Exceedance scan kernel (DESIGN.md §15): the AVX2 mark body against
+// the scalar reference, same columns, same process. The bench gate
+// (tools/check.sh --bench) locks the pair's wall-time ratio via
+// bench_check.py --speedup — a within-run ratio, so it holds on machines
+// where absolute times do not.
 
-// The best non-scalar table, or nullptr on hosts without one.
-const kernels::KernelOps* SimdKernels() {
-  const kernels::KernelOps& best = kernels::SelectKernels(nullptr);
-  return std::string(best.name) == "scalar" ? nullptr : &best;
-}
+using MarkFn = std::size_t (*)(const double*, std::size_t, double,
+                               unsigned char*);
 
-void RunUnionKernelBench(benchmark::State& state,
-                         const kernels::KernelOps& ops) {
-  const std::size_t num_words = static_cast<std::size_t>(state.range(0));
-  // Several sparse sets (3-AND thins bits to ~12%) so the union grows
-  // without saturating: the kernel sees fresh bits on every pass, like a
-  // dense multi-dimension curve evaluation.
-  constexpr std::size_t kNumSets = 6;
-  Rng rng(11);
-  std::vector<AlignedVector<std::uint64_t>> sets(
-      kNumSets, AlignedVector<std::uint64_t>(num_words));
-  for (auto& set : sets) {
-    for (auto& word : set) {
-      word = rng.NextUint64() & rng.NextUint64() & rng.NextUint64();
-    }
+// One curve's worth of mark scans: every catalog SKU over every column of
+// a 7-day, 5-column trace, one throttled-row scratch per SKU — the loop
+// NonParametricEstimator::Probability runs, without the early exit.
+void RunScanKernelBench(benchmark::State& state, MarkFn mark_above,
+                        MarkFn mark_below) {
+  const telemetry::PerfTrace trace = MakeTrace(7, 1);
+  const std::vector<ResourceDim> dims = trace.PresentDims();
+  const std::size_t n = trace.num_samples();
+  std::vector<catalog::ResourceVector> capacities;
+  for (const catalog::Sku& sku : Catalog().skus()) {
+    capacities.push_back(sku.Capacities());
   }
-  AlignedVector<std::uint64_t> acc(num_words);
+  AlignedVector<unsigned char> marks(n);
+  std::size_t rows_compared = 0;
   for (auto _ : state) {
-    std::fill(acc.begin(), acc.end(), 0);
-    std::size_t count = 0;
-    for (const auto& set : sets) {
-      count += ops.union_count(acc.data(), set.data(), num_words);
+    std::size_t throttled = 0;
+    rows_compared = 0;
+    for (const catalog::ResourceVector& caps : capacities) {
+      std::fill(marks.begin(), marks.end(), 0);
+      for (ResourceDim dim : dims) {
+        if (!caps.Has(dim)) continue;
+        const double* column = trace.Values(dim).data();
+        throttled += catalog::IsInvertedDim(dim)
+                         ? mark_below(column, n, caps.Get(dim), marks.data())
+                         : mark_above(column, n, caps.Get(dim), marks.data());
+        rows_compared += n;
+      }
     }
-    benchmark::DoNotOptimize(count);
+    benchmark::DoNotOptimize(throttled);
+    benchmark::DoNotOptimize(marks.data());
+    benchmark::ClobberMemory();
   }
-  state.SetBytesProcessed(
-      state.iterations() *
-      static_cast<std::int64_t>(kNumSets * num_words * sizeof(std::uint64_t)));
-  state.SetLabel(ops.name);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(rows_compared));
 }
 
-void BM_UnionKernelScalar(benchmark::State& state) {
-  RunUnionKernelBench(state,
-                      *kernels::KernelOpsFor(kernels::KernelIsa::kScalar));
+void BM_ScanKernelScalar(benchmark::State& state) {
+  RunScanKernelBench(state, kernels::scalar::MarkAbove,
+                     kernels::scalar::MarkBelow);
 }
-BENCHMARK(BM_UnionKernelScalar)->Arg(4096)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_ScanKernelScalar)->Unit(benchmark::kMicrosecond);
 
-void BM_UnionKernelSimd(benchmark::State& state) {
-  const kernels::KernelOps* ops = SimdKernels();
-  if (ops == nullptr) {
-    state.SkipWithError("no SIMD kernel variant on this host");
+void BM_ScanKernelAvx2(benchmark::State& state) {
+#if defined(__x86_64__)
+  if (kernels::CpuHasAvx2()) {
+    RunScanKernelBench(state, kernels::avx2::MarkAbove,
+                       kernels::avx2::MarkBelow);
     return;
   }
-  RunUnionKernelBench(state, *ops);
+#endif
+  state.SkipWithError("CPU lacks AVX2");
 }
-BENCHMARK(BM_UnionKernelSimd)->Arg(4096)->Unit(benchmark::kMicrosecond);
-
-void RunKdeBatchBench(benchmark::State& state,
-                      const kernels::KernelOps& ops) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  Rng rng(13);
-  AlignedVector<double> sample(n);
-  for (auto& v : sample) v = rng.Normal(50.0, 12.0);
-  double x = 30.0;
-  for (auto _ : state) {
-    // Sweep the query point so the transcendental inputs vary.
-    x = x < 70.0 ? x + 0.25 : 30.0;
-    const double cdf = ops.kde_cdf_sum(sample.data(), n, x, 3.5);
-    const double density = ops.kde_density_sum(sample.data(), n, x, 3.5);
-    benchmark::DoNotOptimize(cdf);
-    benchmark::DoNotOptimize(density);
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
-  state.SetLabel(ops.name);
-}
-
-void BM_KdeBatchScalar(benchmark::State& state) {
-  RunKdeBatchBench(state,
-                   *kernels::KernelOpsFor(kernels::KernelIsa::kScalar));
-}
-BENCHMARK(BM_KdeBatchScalar)->Arg(4096)->Unit(benchmark::kMicrosecond);
-
-void BM_KdeBatchSimd(benchmark::State& state) {
-  const kernels::KernelOps* ops = SimdKernels();
-  if (ops == nullptr) {
-    state.SkipWithError("no SIMD kernel variant on this host");
-    return;
-  }
-  RunKdeBatchBench(state, *ops);
-}
-BENCHMARK(BM_KdeBatchSimd)->Arg(4096)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_ScanKernelAvx2)->Unit(benchmark::kMicrosecond);
 
 // ---- Negotiability strategies (the Table 4 cost axis).
 
@@ -733,7 +703,7 @@ catalog::ResourceVector StreamBenchQueryCapacities() {
 void BM_StreamAppendAssess(benchmark::State& state) {
   stream::StreamingTrace trace(StreamBenchDims(), kStreamWindowRows, 600);
   stream::StreamStats stats(&trace);
-  stream::StreamIndex index(&trace, &stats);
+  stream::StreamIndex index(&trace);
   Rng rng(7);
   while (!trace.full()) {
     StatusOr<std::uint64_t> seq = trace.Append(StreamBenchRow(rng));
@@ -793,7 +763,7 @@ void BM_RebuildAssess(benchmark::State& state) {
     for (std::uint64_t seq = trace.first_seq(); seq < trace.next_seq(); ++seq) {
       stats.OnAppend(seq);
     }
-    stream::StreamIndex index(&trace, &stats);
+    stream::StreamIndex index(&trace);
     const std::size_t exceeding = index.CountExceedingUnion(query);
     benchmark::DoNotOptimize(exceeding);
     if (exceeding != trace.size()) std::abort();

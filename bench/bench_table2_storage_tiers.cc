@@ -28,10 +28,14 @@ int main() {
       if (gib >= 1024.0) return FormatDouble(gib / 1024.0, 0) + " TiB";
       return FormatDouble(gib, 0) + " GiB";
     };
-    table.AddRow({tier.name,
-                  (tier.min_size_gib == 0.0 ? "[0, " : "(" +
-                       size_label(tier.min_size_gib) + ", ") +
-                      size_label(tier.max_size_gib) + "]",
+    std::string range = tier.min_size_gib == 0.0 ? "[0, " : "(";
+    if (tier.min_size_gib != 0.0) {
+      range += size_label(tier.min_size_gib);
+      range += ", ";
+    }
+    range += size_label(tier.max_size_gib);
+    range += "]";
+    table.AddRow({tier.name, range,
                   FormatDouble(tier.iops, 0),
                   FormatDouble(tier.throughput_mibps, 0) + " MiB/s"});
   }

@@ -95,10 +95,12 @@ int main() {
   // Table 6.
   TablePrinter table6({"ID", "vCPU", "Memory", "Throughput", "Price/h"});
   for (const catalog::Sku& sku : Table6Skus()) {
+    std::string price = "$";
+    price += FormatDouble(sku.price_per_hour, 2);
     table6.AddRow({sku.id, std::to_string(sku.vcores) + " cores",
                    FormatDouble(sku.max_memory_gb, 0) + " GB",
                    FormatDouble(sku.max_iops, 0) + " IOPs",
-                   "$" + FormatDouble(sku.price_per_hour, 2)});
+                   price});
   }
   std::puts("Table 6 - SKUs used to execute synthetic workloads:");
   table6.Print(std::cout);

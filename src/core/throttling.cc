@@ -179,15 +179,14 @@ StatusOr<double> NonParametricEstimator::Probability(
   // result is bit-for-bit the same at any scan order.
   const telemetry::DemandColumns matrix = trace.Columns(dims);
 
-  const kernels::KernelOps& ops = kernels::ActiveKernels();
-
   // Single shared dimension: no mark buffer needed, pure count.
   if (matrix.num_columns == 1) {
     const double* const column = matrix.column(0);
     const double capacity = capacities.Get(matrix.dim(0));
-    const std::size_t throttled = catalog::IsInvertedDim(matrix.dim(0))
-                                      ? ops.count_below(column, n, capacity)
-                                      : ops.count_above(column, n, capacity);
+    const std::size_t throttled =
+        catalog::IsInvertedDim(matrix.dim(0))
+            ? kernels::CountBelow(column, n, capacity)
+            : kernels::CountAbove(column, n, capacity);
     CountEvaluation(n);
     return static_cast<double>(throttled) / static_cast<double>(n);
   }
@@ -204,10 +203,10 @@ StatusOr<double> NonParametricEstimator::Probability(
     // The mark kernel counts only NEWLY marked rows, so whichever column
     // marks a row first counts it — exactly the scalar loop's behaviour.
     throttled += catalog::IsInvertedDim(matrix.dim(k))
-                     ? ops.mark_below(column, n, capacity,
-                                      throttled_rows.data())
-                     : ops.mark_above(column, n, capacity,
-                                      throttled_rows.data());
+                     ? kernels::MarkBelow(column, n, capacity,
+                                          throttled_rows.data())
+                     : kernels::MarkAbove(column, n, capacity,
+                                          throttled_rows.data());
     // Early-exit union test: once every row is throttled no further
     // dimension can change the count.
     ++columns_scanned;

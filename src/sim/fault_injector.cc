@@ -199,7 +199,7 @@ StatusOr<CsvTable> InjectFault(const CsvTable& table, const FaultSpec& spec,
       CsvTable out = CopyHeader(table);
       for (std::size_t r = 0; r < table.num_rows(); ++r) {
         std::vector<std::string> row = CopyRow(table, r);
-        row[col] = "0";
+        row[col].assign(1, '0');
         (void)out.AddRow(std::move(row));
       }
       return out;

@@ -34,8 +34,12 @@ double Histogram::Fraction(int i) const {
 std::string Histogram::BinLabel(int i, int decimals) const {
   const double lo = lo_ + width_ * i;
   const double hi = lo + width_;
-  return "[" + FormatDouble(lo, decimals) + ", " + FormatDouble(hi, decimals) +
-         (i == num_bins() - 1 ? "]" : ")");
+  std::string label = "[";
+  label += FormatDouble(lo, decimals);
+  label += ", ";
+  label += FormatDouble(hi, decimals);
+  label += i == num_bins() - 1 ? "]" : ")";
+  return label;
 }
 
 std::vector<double> Histogram::Fractions() const {

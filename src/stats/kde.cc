@@ -4,13 +4,13 @@
 #include <cmath>
 
 #include "stats/descriptive.h"
-#include "util/kernels/kernels.h"
 
 namespace doppler::stats {
 
 namespace {
 
 constexpr double kInvSqrt2Pi = 0.3989422804014327;
+constexpr double kInvSqrt2 = 0.7071067811865476;
 
 }  // namespace
 
@@ -28,20 +28,22 @@ StatusOr<GaussianKde> GaussianKde::Fit(std::vector<double> sample,
   return GaussianKde(std::move(sample), bandwidth);
 }
 
-// Both evaluations run through the dispatched batched kernels; every
-// implementation accumulates in sample order with the same IEEE
-// operations, so results are bit-identical to the pre-kernel scalar loops.
-
 double GaussianKde::Density(double x) const {
-  const double sum = kernels::ActiveKernels().kde_density_sum(
-      sample_.data(), sample_.size(), x, bandwidth_);
+  double sum = 0.0;
+  for (double s : sample_) {
+    const double z = (x - s) / bandwidth_;
+    sum += std::exp(-0.5 * z * z);
+  }
   return sum * kInvSqrt2Pi /
          (bandwidth_ * static_cast<double>(sample_.size()));
 }
 
 double GaussianKde::Cdf(double x) const {
-  const double sum = kernels::ActiveKernels().kde_cdf_sum(
-      sample_.data(), sample_.size(), x, bandwidth_);
+  double sum = 0.0;
+  for (double s : sample_) {
+    const double z = (x - s) / bandwidth_;
+    sum += 0.5 * (1.0 + std::erf(z * kInvSqrt2));
+  }
   return sum / static_cast<double>(sample_.size());
 }
 

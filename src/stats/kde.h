@@ -1,9 +1,9 @@
 #ifndef DOPPLER_STATS_KDE_H_
 #define DOPPLER_STATS_KDE_H_
 
+#include <utility>
 #include <vector>
 
-#include "util/aligned.h"
 #include "util/statusor.h"
 
 namespace doppler::stats {
@@ -33,13 +33,10 @@ class GaussianKde {
   double bandwidth() const { return bandwidth_; }
 
  private:
-  GaussianKde(const std::vector<double>& sample, double bandwidth)
-      : sample_(sample.begin(), sample.end()), bandwidth_(bandwidth) {}
+  GaussianKde(std::vector<double> sample, double bandwidth)
+      : sample_(std::move(sample)), bandwidth_(bandwidth) {}
 
-  // Cache-line aligned so the batched kernel's vector loads never straddle
-  // a line; evaluation runs through the dispatched KDE kernels
-  // (util/kernels/kernels.h), bit-identical across implementations.
-  AlignedVector<double> sample_;
+  std::vector<double> sample_;
   double bandwidth_;
 };
 

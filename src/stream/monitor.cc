@@ -35,7 +35,7 @@ CustomerWindow::CustomerWindow(std::string customer_id,
       trace_(dims,
              exact_mode_ ? options.window_rows : options.sketch_row_budget),
       stats_(&trace_),
-      index_(&trace_, &stats_) {
+      index_(&trace_) {
   trace_.set_id(customer_id_);
   for (ResourceDim dim : trace_.dims()) {
     // Per-dimension seed stream so equal-valued dims don't share coin

@@ -1,11 +1,9 @@
 #include "stream/stream_index.h"
 
-#include <algorithm>
-#include <cassert>
+#include <bit>
+#include <utility>
 
 #include "obs/metrics.h"
-#include "util/aligned.h"
-#include "util/kernels/kernels.h"
 
 namespace doppler::stream {
 
@@ -31,8 +29,8 @@ void CountIndexHit() {
 
 }  // namespace
 
-StreamIndex::StreamIndex(const StreamingTrace* trace, const StreamStats* stats)
-    : trace_(trace), stats_(stats), num_words_((trace->capacity() + 63) / 64) {}
+StreamIndex::StreamIndex(const StreamingTrace* trace)
+    : trace_(trace), num_words_((trace->capacity() + 63) / 64) {}
 
 void StreamIndex::OnAppend(std::uint64_t seq) {
   const std::size_t slot = trace_->SlotOf(seq);
@@ -69,7 +67,7 @@ void StreamIndex::OnEvict(std::uint64_t seq) {
 }
 
 const ExceedanceSet& StreamIndex::SetFor(catalog::ResourceDim dim,
-                                               double capacity) const {
+                                         double capacity) const {
   DimState& state = dims_[Index(dim)];
   const auto it = state.memo.find(capacity);
   if (it != state.memo.end()) {
@@ -77,36 +75,19 @@ const ExceedanceSet& StreamIndex::SetFor(catalog::ResourceDim dim,
     return it->second;
   }
 
-  // First sight of this capacity: the exceeding rows are one contiguous
-  // run of the stats sorted order (suffix for normal dims, prefix for
-  // inverted) — materialise their SLOTS. The boundary is a branch-free
-  // count on short columns, a binary search on long ones.
-  const kernels::KernelOps& ops = kernels::ActiveKernels();
-  const std::vector<double>& sorted = stats_->Sorted(dim);
-  const std::vector<std::uint64_t>& seqs = stats_->SortedSeqs(dim);
-  std::size_t begin = 0;
-  std::size_t end = sorted.size();
-  if (catalog::IsInvertedDim(dim)) {
-    end = kernels::SortedCountBelow(ops, sorted.data(), sorted.size(),
-                                    capacity);
-  } else {
-    begin = sorted.size() - kernels::SortedCountAbove(ops, sorted.data(),
-                                                      sorted.size(), capacity);
-  }
-
+  // First sight of this capacity: one pass over the live ring slots.
   ExceedanceSet set;
-  std::uint64_t* const words = state.arena.Allocate(num_words_);
-  set.words = words;
-  set.num_words = num_words_;
-  set.count = end - begin;
-  for (std::size_t j = begin; j < end; ++j) {
-    const std::size_t slot = trace_->SlotOf(seqs[j]);
-    words[slot >> 6] |= std::uint64_t{1} << (slot & 63);
+  set.words.assign(num_words_, 0);
+  for (std::uint64_t seq = trace_->first_seq(); seq < trace_->next_seq();
+       ++seq) {
+    if (!ExceedsValue(dim, trace_->ValueAt(dim, seq), capacity)) continue;
+    const std::size_t slot = trace_->SlotOf(seq);
+    set.words[slot >> 6] |= std::uint64_t{1} << (slot & 63);
+    ++set.count;
   }
-  assert(kernels::PaddingBitsAreZero(words, num_words_, trace_->capacity()));
   CountIndexMiss();
-  CountRowsPatched(set.count);
-  return state.memo.emplace(capacity, set).first->second;
+  CountRowsPatched(trace_->size());
+  return state.memo.emplace(capacity, std::move(set)).first->second;
 }
 
 std::size_t StreamIndex::CountExceedingUnion(
@@ -120,16 +101,14 @@ std::size_t StreamIndex::CountExceedingUnion(
   if (num_sets == 0) return 0;
   if (num_sets == 1) return sets[0]->count;
 
-  // Dispatched union kernel: ORs each set in, counting newly set bits.
-  const kernels::KernelOps& ops = kernels::ActiveKernels();
-  const std::size_t live = trace_->size();
-  thread_local AlignedVector<std::uint64_t> union_words;
-  union_words.assign(num_words_, 0);
+  // Dead slots are zero in every set, so the popcount of the OR is the
+  // number of live rows any dimension throttles.
   std::size_t count = 0;
-  for (std::size_t k = 0; k < num_sets && count < live; ++k) {
-    count += ops.union_count(union_words.data(), sets[k]->words, num_words_);
+  for (std::size_t w = 0; w < num_words_; ++w) {
+    std::uint64_t word = 0;
+    for (std::size_t k = 0; k < num_sets; ++k) word |= sets[k]->words[w];
+    count += static_cast<std::size_t>(std::popcount(word));
   }
-  TrimScratch(union_words);
   return count;
 }
 

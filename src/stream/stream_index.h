@@ -4,25 +4,21 @@
 #include <array>
 #include <cstdint>
 #include <map>
-#include <vector>
 
 #include "catalog/resource.h"
-#include "stream/stream_stats.h"
 #include "stream/streaming_trace.h"
-#include "util/kernels/bitset_arena.h"
+#include "util/aligned.h"
 
 namespace doppler::stream {
 
 /// One memoized exceedance set: the window rows whose demand in one
 /// dimension exceeds one capacity value, packed 64 ring slots per word
-/// (slot s is bit s%64 of word s/64; padding bits past the ring capacity
-/// are zero). The words live in the owning dimension's BitsetArena — 64-byte
-/// aligned, zero-padded at birth, stable for the index's lifetime — so the
-/// set itself is just a view. The pointer is non-const because the index
-/// patches memoized sets bit-by-bit in place.
+/// (slot s is bit s%64 of word s/64). The words start zeroed and only live
+/// row bits are ever set, so bits of dead slots and past the ring capacity
+/// stay zero. The memo's map node keeps the set at a stable address while
+/// the index patches it bit by bit in place.
 struct ExceedanceSet {
-  std::uint64_t* words = nullptr;
-  std::size_t num_words = 0;
+  AlignedVector<std::uint64_t> words;
   /// Popcount over `words` — the number of exceeding rows.
   std::size_t count = 0;
 };
@@ -47,16 +43,15 @@ struct ExceedanceSet {
 /// catalog::ResourceVector::Exceeds (demand > capacity; demand < capacity
 /// for inverted dims), so rows tied at the capacity stay out.
 ///
-/// A NEW capacity's first SetFor builds its set from the StreamStats
-/// sorted run boundary (O(exceeding rows)), charging those rows to
-/// `stream.rows_patched`; afterwards every mutation patches each memoized
-/// set at one bit, charged likewise. Externally synchronized, like the
-/// trace and stats it mirrors.
+/// A NEW capacity's first SetFor builds its set with one scan of the live
+/// ring slots (the same comparison OnAppend uses), charging the scanned
+/// rows to `stream.rows_patched`; afterwards every mutation patches each
+/// memoized set at one bit, charged likewise. Externally synchronized,
+/// like the trace it mirrors.
 class StreamIndex {
  public:
-  /// Borrows `trace` and `stats` (both over the same window, both must
-  /// outlive the index and start empty alongside it).
-  StreamIndex(const StreamingTrace* trace, const StreamStats* stats);
+  /// Borrows `trace`, which must outlive the index.
+  explicit StreamIndex(const StreamingTrace* trace);
 
   StreamIndex(const StreamIndex&) = delete;
   StreamIndex& operator=(const StreamIndex&) = delete;
@@ -73,8 +68,8 @@ class StreamIndex {
   void OnEvict(std::uint64_t seq);
 
   /// The memoized slot-aligned exceedance set for one (dim, capacity);
-  /// built from the stats sorted run on first use, patched incrementally
-  /// afterwards. The dimension must be in the window.
+  /// built by a scan of the live window on first use, patched
+  /// incrementally afterwards. The dimension must be in the window.
   const ExceedanceSet& SetFor(catalog::ResourceDim dim, double capacity) const;
 
   /// Rows of the live window throttled by ANY window dimension priced in
@@ -93,11 +88,6 @@ class StreamIndex {
     // std::map for node stability: SetFor hands out references that must
     // survive later memo insertions.
     std::map<double, ExceedanceSet> memo;
-    // Backing store for the memoized bitsets: cache-line-aligned spans.
-    // Stream memo entries live for the index's lifetime (patched, never
-    // rebuilt), so the arena only grows with distinct capacities and is
-    // never Reset().
-    kernels::BitsetArena arena;
   };
 
   static constexpr std::size_t Index(catalog::ResourceDim dim) {
@@ -112,7 +102,6 @@ class StreamIndex {
   }
 
   const StreamingTrace* trace_;
-  const StreamStats* stats_;
   std::size_t num_words_;
   mutable std::array<DimState, catalog::kNumResourceDims> dims_;
 };

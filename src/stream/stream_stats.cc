@@ -1,6 +1,7 @@
 #include "stream/stream_stats.h"
 
 #include <algorithm>
+#include <cassert>
 
 #include "obs/metrics.h"
 #include "stats/descriptive.h"
@@ -23,39 +24,26 @@ void CountRowsPatched(std::size_t slots) {
 
 StreamStats::StreamStats(const StreamingTrace* trace) : trace_(trace) {}
 
-std::size_t StreamStats::PositionOf(const DimState& state, double value,
-                                    std::uint64_t seq) const {
-  // Two binary searches: the tie run of `value`, then the seq within it
-  // (seqs ascend inside a tie run by the ordering invariant), so heavy-tie
-  // streams stay O(log n) per patch.
-  const auto vbegin = state.sorted_values.begin();
-  const auto lo = std::lower_bound(vbegin, state.sorted_values.end(), value);
-  const auto hi = std::upper_bound(lo, state.sorted_values.end(), value);
-  const std::size_t tie_begin = static_cast<std::size_t>(lo - vbegin);
-  const std::size_t tie_end = static_cast<std::size_t>(hi - vbegin);
-  const auto sbegin = state.sorted_seqs.begin();
-  return static_cast<std::size_t>(
-      std::lower_bound(sbegin + tie_begin, sbegin + tie_end, seq) - sbegin);
-}
-
 void StreamStats::OnAppend(std::uint64_t seq) {
   for (catalog::ResourceDim dim : trace_->dims()) {
-    DimState& state = dims_[Index(dim)];
+    std::vector<double>& sorted = dims_[Index(dim)].sorted_values;
     const double value = trace_->ValueAt(dim, seq);
-    const std::size_t pos = PositionOf(state, value, seq);
-    state.sorted_values.insert(state.sorted_values.begin() + pos, value);
-    state.sorted_seqs.insert(state.sorted_seqs.begin() + pos, seq);
+    // Rows arrive in seq order, so this one is the newest so far: last of
+    // its tie run.
+    sorted.insert(std::upper_bound(sorted.begin(), sorted.end(), value),
+                  value);
   }
   CountRowsPatched(trace_->dims().size());
 }
 
 void StreamStats::OnEvict(std::uint64_t seq) {
+  // Eviction is FIFO: the departing row is the oldest live one, so it
+  // heads its tie run.
+  assert(seq == trace_->first_seq());
   for (catalog::ResourceDim dim : trace_->dims()) {
-    DimState& state = dims_[Index(dim)];
+    std::vector<double>& sorted = dims_[Index(dim)].sorted_values;
     const double value = trace_->ValueAt(dim, seq);
-    const std::size_t pos = PositionOf(state, value, seq);
-    state.sorted_values.erase(state.sorted_values.begin() + pos);
-    state.sorted_seqs.erase(state.sorted_seqs.begin() + pos);
+    sorted.erase(std::lower_bound(sorted.begin(), sorted.end(), value));
   }
   CountRowsPatched(trace_->dims().size());
 }

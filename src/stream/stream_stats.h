@@ -13,14 +13,17 @@ namespace doppler::stream {
 /// Incrementally maintained order statistics over a StreamingTrace window —
 /// the streaming counterpart of telemetry::TraceStatsCache (DESIGN.md §13).
 ///
-/// Per dimension it keeps the window's values in ascending (value, seq)
-/// order as two parallel vectors. Because window-relative row index equals
-/// seq - first_seq (monotone in seq), this order is exactly the order a
-/// stable sort by value gives on the materialised window (equal values
-/// keep row order) — so Sorted() and Quantile() are bit-identical to
-/// rebuilding a TraceStatsCache from scratch, and RowOf() to a stable
-/// argsort, which the differential harness (tests/stream_test.cc) locks
-/// at every step.
+/// Per dimension it keeps the window's values in ascending order, equal
+/// values in row (== seq) order — exactly the order a stable sort by value
+/// gives on the materialised window. So Sorted() and Quantile() are
+/// bit-identical to rebuilding a TraceStatsCache from scratch, including
+/// which of a tied 0.0 / -0.0 pair sorts first; the differential harness
+/// (tests/stream_test.cc) locks this byte for byte at every step.
+///
+/// The order needs no per-value seq: rows are appended in seq order, so
+/// each one goes last in its tie run (upper_bound), and eviction is FIFO, so the
+/// departing row is the oldest in the window and therefore first in its
+/// tie run (lower_bound).
 ///
 /// Each append/evict patches one slot per dimension (a binary-searched
 /// insert/erase, O(log n) search + O(n) shift) instead of the O(n log n)
@@ -39,7 +42,7 @@ namespace doppler::stream {
 class StreamStats {
  public:
   /// Borrows `trace`, which must outlive the stats and start empty (the
-  /// caller replays any pre-existing rows through OnAppend).
+  /// caller replays any pre-existing rows through OnAppend, oldest first).
   explicit StreamStats(const StreamingTrace* trace);
 
   StreamStats(const StreamStats&) = delete;
@@ -53,24 +56,13 @@ class StreamStats {
 
   /// Unpatches every dimension for the row about to be evicted at `seq`
   /// (call BEFORE StreamingTrace::PopFront, while the values are live).
+  /// `seq` must be the oldest live row, trace().first_seq().
   void OnEvict(std::uint64_t seq);
 
   /// Ascending-sorted window values; bit-identical to
   /// TraceStatsCache::Sorted on the materialised window.
   const std::vector<double>& Sorted(catalog::ResourceDim dim) const {
     return dims_[Index(dim)].sorted_values;
-  }
-
-  /// Sequence numbers behind Sorted(), same order.
-  const std::vector<std::uint64_t>& SortedSeqs(catalog::ResourceDim dim) const {
-    return dims_[Index(dim)].sorted_seqs;
-  }
-
-  /// Window-relative row index of sorted position i — equals position i
-  /// of a stable argsort of the materialised window.
-  std::uint32_t RowOf(catalog::ResourceDim dim, std::size_t i) const {
-    return static_cast<std::uint32_t>(dims_[Index(dim)].sorted_seqs[i] -
-                                      trace_->first_seq());
   }
 
   /// R-7 quantile over the maintained sorted values (0 when absent/empty).
@@ -83,9 +75,8 @@ class StreamStats {
 
  private:
   struct DimState {
-    // Parallel vectors in ascending (value, seq) order.
+    // Ascending values, ties in seq order.
     std::vector<double> sorted_values;
-    std::vector<std::uint64_t> sorted_seqs;
     // Generation-memoized exact moments (recomputed via stats:: when the
     // trace has mutated since `moments_generation`).
     std::uint64_t moments_generation = 0;
@@ -97,11 +88,6 @@ class StreamStats {
   static constexpr std::size_t Index(catalog::ResourceDim dim) {
     return static_cast<std::size_t>(static_cast<int>(dim));
   }
-
-  /// Sorted position of (value, seq) — first index whose entry orders
-  /// after it.
-  std::size_t PositionOf(const DimState& state, double value,
-                         std::uint64_t seq) const;
 
   const DimState& Moments(catalog::ResourceDim dim) const;
 

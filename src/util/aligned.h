@@ -7,12 +7,12 @@
 
 namespace doppler {
 
-/// Minimal over-aligned allocator for hot-path containers. The SIMD kernel
-/// layer (util/kernels/) reads its operands with vector loads; starting
-/// every column on its own cache line keeps those loads from straddling
-/// lines and lets the hardware prefetcher stream one row without pulling
-/// its neighbours. Alignment must be a power of two and at least
-/// alignof(T).
+/// Minimal over-aligned allocator for hot-path containers: the catalog's
+/// capacity rows, the scan's throttled-row marks and the stream index's
+/// exceedance words. Starting each buffer on its own cache line keeps the
+/// scan kernel's (util/kernels/) vector loads from straddling lines and
+/// lets the prefetcher stream one buffer without pulling its neighbours.
+/// Alignment must be a power of two and at least alignof(T).
 template <typename T, std::size_t Alignment = 64>
 struct AlignedAllocator {
   static_assert((Alignment & (Alignment - 1)) == 0,
@@ -57,8 +57,7 @@ using AlignedVector = std::vector<T, AlignedAllocator<T, 64>>;
 /// for the lifetime of the thread. After each use, a buffer whose capacity
 /// exceeds this bound is released back to the allocator. Steady-state DMA
 /// traces sit far below it (a 30-day trace is ~4.3k rows, ~4 KiB of scan
-/// marks or ~0.5 KiB of bitset words), so the trim only ever fires after an
-/// outlier trace.
+/// marks), so the trim only ever fires after an outlier trace.
 inline constexpr std::size_t kScratchRetainBytes = std::size_t{1} << 20;
 
 /// Applies the policy above to one scratch vector: keep the buffer when its

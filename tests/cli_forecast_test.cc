@@ -1,8 +1,11 @@
 // Tests for the capacity-forecast module and the command-line front-end.
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -181,8 +184,16 @@ TEST(CliRunTest, HelpAndUnknownCommand) {
 
 class CliFlowTest : public ::testing::Test {
  protected:
+  // Prefixed with the pid: ctest runs each test in its own process, and
+  // several of them write the same names (SetUpTestSuite and `synth` both
+  // write cli_trace.csv), so shared names race under `ctest -j`.
   static std::string TempPath(const char* name) {
-    return testing::TempDir() + "/" + name;
+    std::string path = testing::TempDir();
+    path += '/';
+    path += std::to_string(getpid());
+    path += '_';
+    path += name;
+    return path;
   }
 
   // Stage a trace file once for the suite.
@@ -258,8 +269,6 @@ TEST_F(CliFlowTest, CrlfAndByteOrderMarkTracesReportLikeLf) {
                           TempPath("cli_eol_prof.csv")},
                          fit),
             0);
-  // Its own trace files: ctest runs each test of the suite in a separate
-  // process, and those rewrite the shared cli_trace.csv concurrently.
   const std::string lf =
       telemetry::TraceToCsv(GrowingTrace(0.0, 41)).ToString();
   std::string crlf;

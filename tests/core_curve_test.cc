@@ -160,7 +160,8 @@ std::vector<Sku> LadderSkus() {
   std::vector<Sku> skus;
   for (int i = 1; i <= 5; ++i) {
     Sku sku;
-    sku.id = "L" + std::to_string(i);
+    sku.id += "L";
+    sku.id += std::to_string(i);
     sku.vcores = 2 * i;
     sku.max_memory_gb = 1000;
     sku.max_iops = 1e9;
@@ -364,7 +365,8 @@ PricePerformanceCurve CraftedCurve(const std::vector<double>& caps,
   std::vector<Sku> skus;
   for (std::size_t i = 0; i < caps.size(); ++i) {
     Sku sku;
-    sku.id = "C" + std::to_string(i);
+    sku.id += "C";
+    sku.id += std::to_string(i);
     sku.vcores = 1;
     sku.max_memory_gb = 1e9;
     sku.max_iops = 1e9;

@@ -328,10 +328,10 @@ core::MigrationFeedback MakeFeedback(int group, const char* recommended,
                                      const char* adopted, double probability,
                                      double days) {
   core::MigrationFeedback feedback;
-  feedback.customer_id = "c";
+  feedback.customer_id += "c";
   feedback.group_id = group;
-  feedback.recommended_sku_id = recommended;
-  feedback.adopted_sku_id = adopted;
+  feedback.recommended_sku_id += recommended;
+  feedback.adopted_sku_id += adopted;
   feedback.adopted_probability = probability;
   feedback.retention_days = days;
   return feedback;

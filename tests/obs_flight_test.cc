@@ -196,13 +196,14 @@ TEST(FlightRecorderTest, ConcurrentRecordAndDumpIsSafe) {
   std::vector<std::thread> writers;
   for (int w = 0; w < kWriters; ++w) {
     writers.emplace_back([&recorder, w] {
+      std::string id = "w";
+      id += std::to_string(w);
       for (int i = 0; i < kPerWriter; ++i) {
         if (i % 7 == 0) {
-          recorder.Record(AnomalyRecord("w" + std::to_string(w),
-                                        FlightCause::kShed,
+          recorder.Record(AnomalyRecord(id, FlightCause::kShed,
                                         StatusCode::kResourceExhausted));
         } else {
-          recorder.Record(OkRecord("w" + std::to_string(w), i * 1e-6));
+          recorder.Record(OkRecord(id, i * 1e-6));
         }
       }
     });

@@ -18,7 +18,6 @@
 #include "dma/preprocess.h"
 #include "stats/descriptive.h"
 #include "telemetry/aggregate.h"
-#include "util/kernels/kernels.h"
 #include "util/random.h"
 #include "workload/generator.h"
 #include "workload/population.h"
@@ -378,11 +377,11 @@ TEST_P(EngineProperty, BatchCurveProbabilitiesMatchNaiveRowMajorReference) {
   }
 }
 
-// Every kernel implementation compiled into this binary must produce the
-// SAME batch curve as the naive row-major oracle — bit-identical, serial
-// and parallel. This is the end-to-end half of the kernel-layer contract
-// (tests/kernel_test.cc pins the per-op half): whatever table the
-// dispatcher picks at startup, probabilities cannot move.
+// The scan kernel the CPU selects must produce the SAME batch curve as the
+// naive row-major oracle — bit-identical, serial and parallel. This is the
+// end-to-end half of the kernel contract (tests/kernel_test.cc pins the
+// per-body half, scalar against AVX2): whichever body runs, probabilities
+// cannot move.
 TEST_P(EngineProperty, BatchCurveProbabilitiesAreKernelImplInvariant) {
   const telemetry::PerfTrace trace = RandomTrace(GetParam() + 17);
   std::vector<catalog::ResourceVector> capacities;
@@ -399,35 +398,27 @@ TEST_P(EngineProperty, BatchCurveProbabilitiesAreKernelImplInvariant) {
     expected.push_back(NaiveRowMajorProbability(trace, candidate));
   }
 
-  for (kernels::KernelIsa isa :
-       {kernels::KernelIsa::kScalar, kernels::KernelIsa::kAvx2,
-        kernels::KernelIsa::kNeon}) {
-    const kernels::KernelOps* ops = kernels::KernelOpsFor(isa);
-    if (ops == nullptr) continue;  // variant not compiled in / CPU lacks it
-    kernels::ScopedKernelOverride override(ops);
-    for (int jobs : {1, 8}) {
-      std::optional<exec::ThreadPool> pool;
-      exec::ThreadPool* executor = nullptr;
-      if (jobs > 1) {
-        pool.emplace(jobs);
-        executor = &*pool;
-      }
-      StatusOr<std::vector<double>> batch =
-          estimator_->EstimateCurveProbabilities(trace, capacities, executor);
-      ASSERT_TRUE(batch.ok());
-      ASSERT_EQ(batch->size(), expected.size());
-      for (std::size_t i = 0; i < expected.size(); ++i) {
-        EXPECT_EQ((*batch)[i], expected[i])
-            << "candidate " << i << " kernel " << ops->name << " jobs "
-            << jobs;
-      }
-      // The point probability path (mark kernels) must agree too; the
-      // tie-pinned candidate is the sharpest probe.
-      const std::size_t last = capacities.size() - 1;
-      StatusOr<double> point = estimator_->Probability(trace, capacities[last]);
-      ASSERT_TRUE(point.ok());
-      EXPECT_EQ(*point, expected[last]) << "kernel " << ops->name;
+  for (int jobs : {1, 8}) {
+    std::optional<exec::ThreadPool> pool;
+    exec::ThreadPool* executor = nullptr;
+    if (jobs > 1) {
+      pool.emplace(jobs);
+      executor = &*pool;
     }
+    StatusOr<std::vector<double>> batch =
+        estimator_->EstimateCurveProbabilities(trace, capacities, executor);
+    ASSERT_TRUE(batch.ok());
+    ASSERT_EQ(batch->size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ((*batch)[i], expected[i]) << "candidate " << i << " jobs "
+                                          << jobs;
+    }
+    // The point probability path (mark kernels) must agree too; the
+    // tie-pinned candidate is the sharpest probe.
+    const std::size_t last = capacities.size() - 1;
+    StatusOr<double> point = estimator_->Probability(trace, capacities[last]);
+    ASSERT_TRUE(point.ok());
+    EXPECT_EQ(*point, expected[last]);
   }
 }
 

@@ -15,6 +15,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <deque>
 #include <filesystem>
 #include <fstream>
@@ -110,20 +111,6 @@ telemetry::PerfTrace ConstantBatch(std::size_t rows, double cpu_scale = 1.0) {
 // Differential harness: StreamingTrace + patched caches vs a shadow deque
 // rebuilt from scratch at every step.
 
-// Row indices in ascending value order, equal values keeping row order —
-// the order StreamStats maintains for the window.
-std::vector<std::uint32_t> StableArgsort(const std::vector<double>& values) {
-  std::vector<std::uint32_t> perm(values.size());
-  for (std::size_t i = 0; i < perm.size(); ++i) {
-    perm[i] = static_cast<std::uint32_t>(i);
-  }
-  std::stable_sort(perm.begin(), perm.end(),
-                   [&values](std::uint32_t a, std::uint32_t b) {
-                     return values[a] < values[b];
-                   });
-  return perm;
-}
-
 // Rows throttled by ANY dimension shared by the trace and `capacities`:
 // the row-major numerator of paper Eq. 1.
 std::size_t RowMajorUnionCount(const telemetry::PerfTrace& trace,
@@ -156,12 +143,23 @@ struct Harness {
         capacities(std::move(caps)),
         trace(dims, capacity),
         stats(&trace),
-        index(&trace, &stats) {
+        index(&trace) {
     // Memoize every capacity up front (over the empty window) so the whole
     // schedule exercises the incremental bit-patch path, not set rebuilds.
     for (const auto& [dim, caps_for_dim] : capacities) {
       for (double c : caps_for_dim) index.SetFor(dim, c);
     }
+  }
+
+  // Memoizes `capacity` over the live window, so its set comes from the
+  // first-sight scan instead of from per-row patches. A capacity that is
+  // already memoized stays a memo hit.
+  void Memoize(ResourceDim dim, double capacity) {
+    std::vector<double>& caps = capacities[dim];
+    if (std::find(caps.begin(), caps.end(), capacity) == caps.end()) {
+      caps.push_back(capacity);
+    }
+    index.SetFor(dim, capacity);
   }
 
   void Append(const std::vector<double>& row) {
@@ -194,7 +192,7 @@ struct Harness {
     return out;
   }
 
-  // The full step invariant: materialisation, sorted order, argsort,
+  // The full step invariant: materialisation, sorted order (bytewise),
   // quantiles, moments, extremes, per-capacity exceedance counts, and
   // multi-dimension union counts all equal a from-scratch rebuild or a
   // row-major count over the shadow window.
@@ -208,12 +206,16 @@ struct Harness {
 
     telemetry::TraceStatsCache rebuilt(shadow_trace);
     for (ResourceDim dim : dims) {
-      ASSERT_EQ(stats.Sorted(dim), rebuilt.Sorted(dim));
-      const std::vector<std::uint32_t> perm =
-          StableArgsort(shadow_trace.Values(dim));
-      ASSERT_EQ(stats.SortedSeqs(dim).size(), perm.size());
-      for (std::size_t i = 0; i < perm.size(); ++i) {
-        ASSERT_EQ(stats.RowOf(dim, i), perm[i]) << "sorted position " << i;
+      // Bytes, not ==: == treats 0.0 and -0.0 as equal, and which of a
+      // tied pair sorts first is part of the stable-sort contract.
+      const std::vector<double>& sorted = stats.Sorted(dim);
+      const std::vector<double>& expected = rebuilt.Sorted(dim);
+      ASSERT_EQ(sorted.size(), expected.size());
+      if (!sorted.empty()) {
+        ASSERT_EQ(std::memcmp(sorted.data(), expected.data(),
+                              sorted.size() * sizeof(double)),
+                  0)
+            << catalog::ResourceDimName(dim) << " sorted order differs";
       }
       for (double q : {0.0, 0.25, 0.5, 0.9, 0.95, 0.99, 1.0}) {
         ASSERT_EQ(stats.Quantile(dim, q), rebuilt.Quantile(dim, q))
@@ -250,14 +252,18 @@ struct Harness {
 };
 
 // Quantized values make ties (including exact ties AT a capacity) common,
-// so the (value, seq) ordering and the strict exceedance comparisons are
-// exercised on every step, not just on pathological inputs.
+// so the tie order and the strict exceedance comparisons are exercised on
+// every step, not just on pathological inputs. Half of the zero CPU values
+// are -0.0: equal to 0.0 under <, but a different byte pattern, so the
+// bytewise sorted-order check sees whether ties keep row order.
 std::vector<double> QuantizedRow(Rng& rng) {
   const double q = std::floor(rng.Uniform() * 8.0) / 4.0;  // {0, .25, .., 1.75}
   const double q2 = std::floor(rng.Uniform() * 8.0) / 4.0;
   const double q3 = std::floor(rng.Uniform() * 8.0) / 4.0;
   const double q4 = std::floor(rng.Uniform() * 8.0) / 4.0;
-  return {0.4 * q, 2.0 + q2, 100.0 + 400.0 * q3, 1.0 + q4};
+  double cpu = 0.4 * q;
+  if (cpu == 0.0 && rng.Uniform() < 0.5) cpu = -0.0;
+  return {cpu, 2.0 + q2, 100.0 + 400.0 * q3, 1.0 + q4};
 }
 
 std::map<ResourceDim, std::vector<double>> DefaultCapacities() {
@@ -290,6 +296,13 @@ TEST_F(StreamFixture, TenThousandStepScheduleMatchesRebuild) {
       ASSERT_NO_FATAL_FAILURE(h.Evict());
     } else {
       ASSERT_NO_FATAL_FAILURE(h.Append(QuantizedRow(rng)));
+    }
+    if (step % 997 == 500) {
+      // A new CPU capacity over a populated window: on the quantized grid
+      // (ties at the capacity) for the first memoizations, just off it
+      // after.
+      const int m = 1 + step / 997;
+      h.Memoize(ResourceDim::kCpu, 0.4 * ((m % 8) / 4.0) + 0.001 * (m / 8));
     }
     ASSERT_NO_FATAL_FAILURE(h.Verify());
 
@@ -367,7 +380,7 @@ TEST(StreamStatsTest, RowsPatchedPerTickStaysBounded) {
   constexpr std::size_t kCapacity = 96;
   StreamingTrace trace(dims, kCapacity);
   StreamStats stats(&trace);
-  StreamIndex index(&trace, &stats);
+  StreamIndex index(&trace);
   Rng rng(11);
   for (std::size_t i = 0; i < kCapacity; ++i) {
     StatusOr<std::uint64_t> seq = trace.Append({rng.Uniform(), rng.Uniform()});

@@ -23,11 +23,10 @@ Three comparison modes:
     semantics changed, which is never a machine artifact.
   - wall-time speedup (--speedup FAST:SLOW:RATIO): within the FRESH run
     only, benchmark FAST's real_time must be at most SLOW's / RATIO —
-    e.g. the dispatched SIMD union kernel against its forced-scalar
-    twin. Comparing two benchmarks from the SAME process run cancels
+    e.g. the AVX2 scan kernel against its scalar reference. Comparing two benchmarks from the SAME process run cancels
     machine speed, so this is meaningful even where absolute times are
     not. The pair is skipped (with a note) when either side is missing
-    or reported an error (e.g. the SIMD variant on a CPU without it).
+    or reported an error (e.g. the AVX2 body on a CPU without it).
 
 Usage:
     tools/bench_check.py BASELINE.json FRESH.json \

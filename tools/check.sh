@@ -27,7 +27,7 @@
 # container where wall time is not. After an INTENDED cost change,
 # refresh the baseline:
 #   ./build/bench/bench_perf_engine \
-#     --benchmark_filter='BM_PipelineAssess|BM_CompiledAssess|BM_CrossTargetCurve|BM_ServeOverload|BM_FlightRecorderOverhead|BM_StreamAppendAssess|BM_RebuildAssess|BM_UnionKernel|BM_KdeBatch' \
+#     --benchmark_filter='BM_PipelineAssess|BM_CompiledAssess|BM_CrossTargetCurve|BM_ServeOverload|BM_FlightRecorderOverhead|BM_StreamAppendAssess|BM_RebuildAssess|BM_ScanKernel' \
 #     --benchmark_out=BENCH_pipeline.json --benchmark_out_format=json
 #
 # Soak mode: tools/check.sh --soak [build-dir] (default build-soak)
@@ -46,15 +46,15 @@ if [[ "${1:-}" == "--bench" ]]; then
   fresh_json="$(mktemp --suffix=.json)"
   trap 'rm -f "${fresh_json}"' EXIT
   "${bench_build_dir}/bench/bench_perf_engine" \
-    --benchmark_filter='BM_PipelineAssess|BM_CompiledAssess|BM_CrossTargetCurve|BM_ServeOverload|BM_FlightRecorderOverhead|BM_StreamAppendAssess|BM_RebuildAssess|BM_UnionKernel|BM_KdeBatch' \
+    --benchmark_filter='BM_PipelineAssess|BM_CompiledAssess|BM_CrossTargetCurve|BM_ServeOverload|BM_FlightRecorderOverhead|BM_StreamAppendAssess|BM_RebuildAssess|BM_ScanKernel' \
     --benchmark_out="${fresh_json}" --benchmark_out_format=json
-  # Counter comparison against the committed baseline, plus the kernel
-  # layer's within-run wall-time gate: the dispatched SIMD union kernel
-  # must beat its forced-scalar twin by >=1.25x wherever a SIMD variant
-  # exists (the pair is skipped on scalar-only hosts).
+  # Counter comparison against the committed baseline, plus the scan
+  # kernel's within-run wall-time gate: the AVX2 mark body must beat the
+  # scalar reference by >=1.25x over one curve's scans (the pair is
+  # skipped on CPUs without AVX2).
   python3 "${repo_root}/tools/bench_check.py" \
     "${repo_root}/BENCH_pipeline.json" "${fresh_json}" \
-    --speedup 'BM_UnionKernelSimd/4096:BM_UnionKernelScalar/4096:1.25'
+    --speedup 'BM_ScanKernelAvx2:BM_ScanKernelScalar:1.25'
   exit 0
 fi
 
@@ -97,13 +97,6 @@ cmake --build "${build_dir}" -j"$(nproc)"
 export UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1"
 export ASAN_OPTIONS="detect_leaks=1"
 ctest --test-dir "${build_dir}" --output-on-failure -j"$(nproc)"
-
-# Forced-scalar pass: the same kernel-touching suites with the dispatcher
-# pinned to the scalar reference (DOPPLER_KERNEL=scalar), so a host whose
-# SIMD path masks a scalar bug — or vice versa — still fails here.
-DOPPLER_KERNEL=scalar "${build_dir}/tests/kernel_test"
-DOPPLER_KERNEL=scalar "${build_dir}/tests/stream_test"
-DOPPLER_KERNEL=scalar "${build_dir}/tests/property_test"
 
 # The benchmark links the library from source; run.py builds it (into
 # $CARGO_TARGET_DIR) and runs its own unit tests. run.py resolves paths
