@@ -37,9 +37,6 @@
 #include "serve/assessment_service.h"
 #include "serve/snapshot_registry.h"
 #include "stats/stl.h"
-#include "stream/stream_index.h"
-#include "stream/stream_stats.h"
-#include "stream/streaming_trace.h"
 #include "util/aligned.h"
 #include "util/deadline.h"
 #include "util/kernels/kernels.h"
@@ -60,9 +57,6 @@ using catalog::ResourceDim;
 constexpr const char* kCostCounters[] = {
     "ppm.samples_scanned",
     "stats.rows_sorted",
-    "stream.rows_patched",
-    "stream.index_hits",
-    "stream.index_misses",
 };
 constexpr std::size_t kNumCostCounters = std::size(kCostCounters);
 
@@ -662,120 +656,6 @@ BENCHMARK(BM_FlightRecorderOverhead)
     ->Arg(0)
     ->Arg(1)
     ->Unit(benchmark::kMillisecond);
-
-// ---- Streaming window: one telemetry tick (evict + append + exceedance
-// query) against the incrementally patched stream structures, vs tearing
-// the window down and rebuilding sorted stats and exceedance sets from
-// scratch each tick. Both variants charge the same stream.rows_patched
-// counter — the incremental path pays one sorted-slot patch per dimension
-// plus one bit per memoized capacity set, the rebuild path pays the whole
-// window — so the locked baseline proves rows-patched per tick stays far
-// below the window size. The capacities are chosen so every live row
-// exceeds (values are strictly positive against zero capacities, finite
-// against the huge inverted-latency capacity), which makes every counter
-// an exact per-tick constant independent of the sampled values.
-
-constexpr std::size_t kStreamWindowRows = 1024;
-
-const std::vector<ResourceDim>& StreamBenchDims() {
-  static const auto* const kDims = new std::vector<ResourceDim>{
-      ResourceDim::kCpu, ResourceDim::kMemoryGb, ResourceDim::kIops,
-      ResourceDim::kIoLatencyMs};
-  return *kDims;
-}
-
-std::vector<double> StreamBenchRow(Rng& rng) {
-  return {rng.Uniform(0.1, 1.0), rng.Uniform(2.0, 6.0),
-          rng.Uniform(100.0, 2000.0), rng.Uniform(1.0, 10.0)};
-}
-
-// Capacities every row exceeds: zero floors for the normal dimensions, an
-// unreachable ceiling for the inverted latency dimension.
-catalog::ResourceVector StreamBenchQueryCapacities() {
-  catalog::ResourceVector caps;
-  caps.Set(ResourceDim::kCpu, 0.0);
-  caps.Set(ResourceDim::kMemoryGb, 0.0);
-  caps.Set(ResourceDim::kIops, 0.0);
-  caps.Set(ResourceDim::kIoLatencyMs, 1.0e9);
-  return caps;
-}
-
-void BM_StreamAppendAssess(benchmark::State& state) {
-  stream::StreamingTrace trace(StreamBenchDims(), kStreamWindowRows, 600);
-  stream::StreamStats stats(&trace);
-  stream::StreamIndex index(&trace);
-  Rng rng(7);
-  while (!trace.full()) {
-    StatusOr<std::uint64_t> seq = trace.Append(StreamBenchRow(rng));
-    if (!seq.ok()) std::abort();
-    stats.OnAppend(*seq);
-    index.OnAppend(*seq);
-  }
-  const catalog::ResourceVector query = StreamBenchQueryCapacities();
-  // Memoize four capacity sets per dimension up front (the query set plus
-  // three mid-range ones), as a monitor serving a warm SKU shortlist
-  // would; per-tick index patching then touches 16 sets per side.
-  for (ResourceDim dim : StreamBenchDims()) index.SetFor(dim, query.Get(dim));
-  for (double scale : {0.35, 0.55, 0.8}) {
-    index.SetFor(ResourceDim::kCpu, scale);
-    index.SetFor(ResourceDim::kMemoryGb, 2.0 + 4.0 * scale);
-    index.SetFor(ResourceDim::kIops, 2000.0 * scale);
-    index.SetFor(ResourceDim::kIoLatencyMs, 10.0 * scale);
-  }
-  const auto before = SnapshotCostCounters();
-  for (auto _ : state) {
-    const std::uint64_t departing = trace.first_seq();
-    stats.OnEvict(departing);
-    index.OnEvict(departing);
-    if (!trace.PopFront().ok()) std::abort();
-    StatusOr<std::uint64_t> seq = trace.Append(StreamBenchRow(rng));
-    if (!seq.ok()) std::abort();
-    stats.OnAppend(*seq);
-    index.OnAppend(*seq);
-    const std::size_t exceeding = index.CountExceedingUnion(query);
-    benchmark::DoNotOptimize(exceeding);
-    if (exceeding != trace.size()) std::abort();
-  }
-  ReportCostCounters(state, before);
-  state.counters["stream.window_rows"] =
-      benchmark::Counter(static_cast<double>(kStreamWindowRows));
-  state.SetItemsProcessed(state.iterations());
-  state.SetLabel("incremental patch, window " +
-                 std::to_string(kStreamWindowRows));
-}
-BENCHMARK(BM_StreamAppendAssess)->Unit(benchmark::kMicrosecond);
-
-void BM_RebuildAssess(benchmark::State& state) {
-  stream::StreamingTrace trace(StreamBenchDims(), kStreamWindowRows, 600);
-  Rng rng(7);
-  while (!trace.full()) {
-    if (!trace.Append(StreamBenchRow(rng)).ok()) std::abort();
-  }
-  const catalog::ResourceVector query = StreamBenchQueryCapacities();
-  const auto before = SnapshotCostCounters();
-  for (auto _ : state) {
-    if (!trace.PopFront().ok()) std::abort();
-    if (!trace.Append(StreamBenchRow(rng)).ok()) std::abort();
-    // Rebuild-per-tick strawman: re-sort every dimension and rebuild the
-    // queried exceedance sets from scratch, charging the whole window to
-    // stream.rows_patched instead of one slot per side.
-    stream::StreamStats stats(&trace);
-    for (std::uint64_t seq = trace.first_seq(); seq < trace.next_seq(); ++seq) {
-      stats.OnAppend(seq);
-    }
-    stream::StreamIndex index(&trace);
-    const std::size_t exceeding = index.CountExceedingUnion(query);
-    benchmark::DoNotOptimize(exceeding);
-    if (exceeding != trace.size()) std::abort();
-  }
-  ReportCostCounters(state, before);
-  state.counters["stream.window_rows"] =
-      benchmark::Counter(static_cast<double>(kStreamWindowRows));
-  state.SetItemsProcessed(state.iterations());
-  state.SetLabel("rebuild per tick, window " +
-                 std::to_string(kStreamWindowRows));
-}
-BENCHMARK(BM_RebuildAssess)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -62,7 +64,7 @@ Commands:
             [--journal-out F] [--stats-interval-ms N] [--stats-out F]
             [--slo-ms N]
   monitor   --spool DIR [--target db|mi] [--catalog F] [--profiles F]
-            [--rounds N] [--poll-ms N] [--window-rows N] [--sketch-budget N]
+            [--rounds N] [--poll-ms N] [--window-rows N]
             [--min-assess-rows N] [--drift-tolerance X] [--current-sku ID]
             [--quality strict|repair|permissive] [--json] [--out F]
   stats     [--snapshots F] [--last N]       render the serve stats file
@@ -125,9 +127,8 @@ snapshots.
 monitor tails a telemetry spool as a STREAM: each *.csv under --spool is
 one batch for the customer named by the file name up to the first '.'
 ("acme.0001.csv" extends acme's stream), appended into a per-customer
-sliding window of --window-rows rows with incrementally maintained order
-statistics and exceedance bitsets (windows past --sketch-budget rows fall
-back to bounded-memory quantile sketches). A customer's first
+sliding window of the newest --window-rows rows (default 2016, one week at
+the 10-minute cadence; at most 4320, 30 days). A customer's first
 --min-assess-rows rows trigger one full assessment (minus confidence);
 afterwards a window-mean shift past --drift-tolerance on any dimension
 re-runs ONLY the affected stages, and with --current-sku also the SKU
@@ -150,7 +151,9 @@ StatusOr<catalog::Deployment> ParseDeployment(const std::string& text) {
 StatusOr<int> ParsePositiveInt(const std::string& text, const char* what) {
   char* end = nullptr;
   const long value = std::strtol(text.c_str(), &end, 10);
-  if (end == text.c_str() || !Trim(end).empty() || value <= 0) {
+  // Past INT_MAX the cast below would wrap (4294967297 -> 1).
+  if (end == text.c_str() || !Trim(end).empty() || value <= 0 ||
+      value > std::numeric_limits<int>::max()) {
     return InvalidArgumentError(std::string(what) + " must be a positive "
                                 "integer, got '" + text + "'");
   }
@@ -806,17 +809,22 @@ StatusOr<int> RunMonitor(const CliOptions& options, std::ostream& out) {
   stream::MonitorOptions monitor_options;
   DOPPLER_ASSIGN_OR_RETURN(monitor_options.target,
                            ParseDeployment(options.Get("target", "db")));
+  if (options.Has("sketch-budget")) {
+    return InvalidArgumentError(
+        "--sketch-budget was removed; --window-rows sets the window (at "
+        "most " + std::to_string(stream::kMaxWindowRows) + " rows)");
+  }
   if (options.Has("window-rows")) {
     DOPPLER_ASSIGN_OR_RETURN(
         const int rows,
         ParsePositiveInt(options.Get("window-rows"), "--window-rows"));
+    if (static_cast<std::size_t>(rows) > stream::kMaxWindowRows) {
+      return InvalidArgumentError(
+          "--window-rows must be at most " +
+          std::to_string(stream::kMaxWindowRows) + " (30 days of rows), got '" +
+          options.Get("window-rows") + "'");
+    }
     monitor_options.window_rows = static_cast<std::size_t>(rows);
-  }
-  if (options.Has("sketch-budget")) {
-    DOPPLER_ASSIGN_OR_RETURN(
-        const int budget,
-        ParsePositiveInt(options.Get("sketch-budget"), "--sketch-budget"));
-    monitor_options.sketch_row_budget = static_cast<std::size_t>(budget);
   }
   if (options.Has("min-assess-rows")) {
     DOPPLER_ASSIGN_OR_RETURN(const int rows,
@@ -825,11 +833,11 @@ StatusOr<int> RunMonitor(const CliOptions& options, std::ostream& out) {
     monitor_options.min_assess_rows = static_cast<std::size_t>(rows);
   }
   if (options.Has("drift-tolerance")) {
-    char* end = nullptr;
-    monitor_options.drift_tolerance =
-        std::strtod(options.Get("drift-tolerance").c_str(), &end);
-    if (end == nullptr || *end != '\0' ||
-        monitor_options.drift_tolerance <= 0.0) {
+    // nan compares false against every tolerance and inf never trips:
+    // either would switch drift detection off without a word.
+    double& tolerance = monitor_options.drift_tolerance;
+    if (!ParseDouble(options.Get("drift-tolerance"), &tolerance) ||
+        !std::isfinite(tolerance) || tolerance <= 0.0) {
       return InvalidArgumentError("--drift-tolerance expects a positive "
                                   "number, got '" +
                                   options.Get("drift-tolerance") + "'");

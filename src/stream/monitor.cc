@@ -31,18 +31,8 @@ CustomerWindow::CustomerWindow(std::string customer_id,
                                const std::vector<ResourceDim>& dims,
                                const MonitorOptions& options)
     : customer_id_(std::move(customer_id)),
-      exact_mode_(options.window_rows <= options.sketch_row_budget),
-      trace_(dims,
-             exact_mode_ ? options.window_rows : options.sketch_row_budget),
-      stats_(&trace_),
-      index_(&trace_) {
+      trace_(dims, options.window_rows) {
   trace_.set_id(customer_id_);
-  for (ResourceDim dim : trace_.dims()) {
-    // Per-dimension seed stream so equal-valued dims don't share coin
-    // flips; the offset keeps it deterministic per (seed, dim).
-    sketches_[Index(dim)] = std::make_unique<KllSketch>(
-        options.kll_k, options.kll_seed + 0x9E37u * (Index(dim) + 1));
-  }
 }
 
 StatusOr<CustomerWindow::BatchResult> CustomerWindow::Append(
@@ -58,24 +48,14 @@ StatusOr<CustomerWindow::BatchResult> CustomerWindow::Append(
   BatchResult result;
   std::vector<double> row(trace_.dims().size());
   for (std::size_t r = 0; r < batch.num_samples(); ++r) {
-    // Evict-before-append keeps every borrower in step: stats and index
-    // observe the departing row while its ring slot is still live.
     if (trace_.full()) {
-      const std::uint64_t oldest = trace_.first_seq();
-      stats_.OnEvict(oldest);
-      index_.OnEvict(oldest);
       (void)trace_.PopFront();
       ++result.evicted;
     }
     for (std::size_t k = 0; k < trace_.dims().size(); ++k) {
       row[k] = batch.Values(trace_.dims()[k])[r];
     }
-    DOPPLER_ASSIGN_OR_RETURN(const std::uint64_t seq, trace_.Append(row));
-    stats_.OnAppend(seq);
-    index_.OnAppend(seq);
-    for (std::size_t k = 0; k < trace_.dims().size(); ++k) {
-      sketches_[Index(trace_.dims()[k])]->Add(row[k]);
-    }
+    DOPPLER_RETURN_IF_ERROR(trace_.Append(row).status());
     ++total_rows_;
     ++result.appended;
   }
@@ -99,19 +79,7 @@ telemetry::PerfTrace CustomerWindow::MaterializeTrace() const {
 
 double CustomerWindow::WindowMean(ResourceDim dim) const {
   std::lock_guard<std::mutex> lock(mu_);
-  return stats_.Mean(dim);
-}
-
-double CustomerWindow::Quantile(ResourceDim dim, double q) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (exact_mode_) return stats_.Quantile(dim, q);
-  return sketches_[Index(dim)]->Quantile(q);
-}
-
-std::size_t CustomerWindow::CountExceedingUnion(
-    const catalog::ResourceVector& capacities) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return index_.CountExceedingUnion(capacities);
+  return trace_.Mean(dim);
 }
 
 bool CustomerWindow::assessed() const {
@@ -123,7 +91,7 @@ void CustomerWindow::MarkAssessed() {
   std::lock_guard<std::mutex> lock(mu_);
   assessed_ = true;
   for (ResourceDim dim : trace_.dims()) {
-    baseline_means_[Index(dim)] = stats_.Mean(dim);
+    baseline_means_[Index(dim)] = trace_.Mean(dim);
   }
 }
 
@@ -134,7 +102,7 @@ std::vector<ResourceDim> CustomerWindow::DriftedDims(double tolerance,
   if (!assessed_) return drifted;
   for (ResourceDim dim : trace_.dims()) {
     const double baseline = baseline_means_[Index(dim)];
-    const double current = stats_.Mean(dim);
+    const double current = trace_.Mean(dim);
     const double scale = std::max(std::fabs(baseline), floor);
     if (std::fabs(current - baseline) > tolerance * scale) {
       drifted.push_back(dim);

@@ -16,27 +16,21 @@
 #include "core/drift.h"
 #include "core/throttling.h"
 #include "dma/pipeline.h"
-#include "stream/kll_sketch.h"
-#include "stream/stream_index.h"
-#include "stream/stream_stats.h"
 #include "stream/streaming_trace.h"
 #include "util/statusor.h"
 
 namespace doppler::stream {
 
+/// Largest window `doppler monitor --window-rows` accepts: 30 days at the
+/// DMA cadence. Every customer holds window_rows * dims doubles resident,
+/// so the cap bounds the monitor's memory per customer.
+inline constexpr std::size_t kMaxWindowRows = 30 * telemetry::kSamplesPerDay;
+
 /// Tuning for the streaming monitor (DESIGN.md §13).
 struct MonitorOptions {
   /// Sliding-window length per customer, in rows (default: one week at
-  /// the DMA cadence).
+  /// the DMA cadence). The CLI caps it at kMaxWindowRows.
   std::size_t window_rows = 7 * telemetry::kSamplesPerDay;
-  /// Exact-mode budget: a window configured LARGER than this runs in
-  /// sketch mode — the resident ring is clamped to the budget (most
-  /// recent rows) and full-stream quantiles come from the KLL sketches
-  /// instead of exact per-row order statistics.
-  std::size_t sketch_row_budget = 30 * telemetry::kSamplesPerDay;
-  /// Per-level budget and seed of the KLL sketches.
-  std::size_t kll_k = 200;
-  std::uint64_t kll_seed = 41;
   /// Rows a new customer must accumulate before the initial assessment.
   std::size_t min_assess_rows = 2 * telemetry::kSamplesPerDay;
   /// A dimension drifts when its window mean moved by more than
@@ -52,15 +46,12 @@ struct MonitorOptions {
   core::DriftOptions sku_drift;
 };
 
-/// One customer's streaming state: the ring window plus every incremental
-/// borrower patched in lock step — StreamStats (sorted order), StreamIndex
-/// (exceedance bitsets) and one lifetime KLL sketch per dimension.
-///
-/// Mode is fixed at creation: EXACT when the configured window fits the
-/// sketch_row_budget, SKETCH otherwise (ring clamped to the budget,
-/// quantiles answered from the sketches). Thread-safe: a mutex serialises
-/// appends against reads, so a reader may snapshot while an appender
-/// streams — the TSan soak drives exactly that.
+/// One customer's streaming state: the ring window of the newest
+/// window_rows rows, the lifetime row count and the drift baseline. A tick
+/// reads only window means (drift) and the materialised window
+/// (assessment), so no derived per-row state is kept. Thread-safe: a mutex
+/// serialises appends against reads, so a reader may snapshot while an
+/// appender streams — the TSan soak drives exactly that.
 class CustomerWindow {
  public:
   /// `dims` (typically the first batch's present dims) fixes the window
@@ -74,13 +65,12 @@ class CustomerWindow {
     std::size_t evicted = 0;
   };
 
-  /// Appends every row of `batch` (evicting from the front as the ring
-  /// fills), patching stats, index and sketches per row. Fails without
-  /// side effects when the batch lacks a window dimension.
+  /// Appends every row of `batch`, evicting from the front as the ring
+  /// fills. Fails without side effects when the batch lacks a window
+  /// dimension.
   StatusOr<BatchResult> Append(const telemetry::PerfTrace& batch);
 
   const std::string& customer_id() const { return customer_id_; }
-  bool exact_mode() const { return exact_mode_; }
   const std::vector<catalog::ResourceDim>& dims() const {
     return trace_.dims();
   }
@@ -92,21 +82,9 @@ class CustomerWindow {
   /// Snapshot of the resident window as a frozen PerfTrace (seq order).
   telemetry::PerfTrace MaterializeTrace() const;
 
-  /// Mean of the resident window (drift detection's signal).
+  /// Mean of the resident window (drift detection's signal);
+  /// bit-identical to stats::Mean over MaterializeTrace().
   double WindowMean(catalog::ResourceDim dim) const;
-
-  /// Exact mode: bit-identical R-7 quantile over the resident window.
-  /// Sketch mode: KLL estimate over the LIFETIME stream.
-  double Quantile(catalog::ResourceDim dim, double q) const;
-
-  /// Rows of the resident window exceeding `capacities` on any dimension
-  /// (answered from the patched bitsets).
-  std::size_t CountExceedingUnion(
-      const catalog::ResourceVector& capacities) const;
-
-  const KllSketch& sketch(catalog::ResourceDim dim) const {
-    return *sketches_[static_cast<std::size_t>(static_cast<int>(dim))];
-  }
 
   // --- Assessment bookkeeping (driven by StreamMonitor) ---------------
 
@@ -125,12 +103,8 @@ class CustomerWindow {
   }
 
   std::string customer_id_;
-  bool exact_mode_;
   mutable std::mutex mu_;
   StreamingTrace trace_;
-  StreamStats stats_;
-  StreamIndex index_;
-  std::array<std::unique_ptr<KllSketch>, catalog::kNumResourceDims> sketches_;
   std::uint64_t total_rows_ = 0;
   bool assessed_ = false;
   std::array<double, catalog::kNumResourceDims> baseline_means_{};
@@ -163,9 +137,8 @@ struct MonitorEvent {
 };
 
 /// The `doppler monitor` engine: per-customer sliding windows fed from
-/// telemetry batches, incremental cache maintenance per row, and
-/// drift-triggered re-assessment of ONLY the affected stages through the
-/// shared pipeline (DESIGN.md §13).
+/// telemetry batches, and drift-triggered re-assessment of ONLY the
+/// affected stages through the shared pipeline (DESIGN.md §13).
 ///
 /// Assessment policy: a customer's first min_assess_rows trigger one
 /// initial assessment over {preprocess, quality, layout, recommend,

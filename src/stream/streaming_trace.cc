@@ -34,7 +34,6 @@ StatusOr<std::uint64_t> StreamingTrace::Append(const std::vector<double>& row) {
     ring_[Index(dims_[k])][slot] = row[k];
   }
   ++next_seq_;
-  ++generation_;
   return seq;
 }
 
@@ -43,8 +42,16 @@ Status StreamingTrace::PopFront() {
     return FailedPreconditionError("streaming window is empty");
   }
   ++first_seq_;
-  ++generation_;
   return OkStatus();
+}
+
+double StreamingTrace::Mean(catalog::ResourceDim dim) const {
+  if (empty()) return 0.0;
+  double sum = 0.0;
+  for (std::uint64_t seq = first_seq_; seq < next_seq_; ++seq) {
+    sum += ValueAt(dim, seq);
+  }
+  return sum / static_cast<double>(size());
 }
 
 telemetry::PerfTrace StreamingTrace::Materialize() const {

@@ -18,12 +18,8 @@ namespace doppler::stream {
 /// assigned at append time; the live window is the half-open seq range
 /// [first_seq, next_seq), and seq s lives in ring slot s % capacity.
 ///
-/// The trace itself holds no derived state. The incremental caches
-/// (StreamStats, StreamIndex) are patched explicitly by the orchestrating
-/// window in a fixed order per mutation — evict observers fire BEFORE
-/// PopFront() releases the row (they read the departing values), append
-/// observers AFTER Append() lands it. `generation()` counts mutations, so
-/// borrowers can assert they were kept in step.
+/// The trace holds no derived state: a monitoring tick reads window means
+/// and the materialised window, both computed from the ring on demand.
 ///
 /// Not internally synchronized: the owner (stream::CustomerWindow)
 /// serialises mutation and concurrent reads behind its own lock.
@@ -55,9 +51,6 @@ class StreamingTrace {
   /// Sequence number the next Append will assign.
   std::uint64_t next_seq() const { return next_seq_; }
 
-  /// Mutation counter: +1 per Append and per PopFront.
-  std::uint64_t generation() const { return generation_; }
-
   std::int64_t interval_seconds() const { return interval_seconds_; }
 
   /// Ring slot of a sequence number.
@@ -66,8 +59,7 @@ class StreamingTrace {
   }
 
   /// Appends one row (values aligned with dims()) and returns its seq.
-  /// Fails when the window is full — the caller evicts first, so its
-  /// borrowers can observe the departing row before the slot is reused.
+  /// Fails when the window is full — the caller evicts first.
   StatusOr<std::uint64_t> Append(const std::vector<double>& row);
 
   /// Evicts the oldest row. Fails when empty.
@@ -78,6 +70,11 @@ class StreamingTrace {
   double ValueAt(catalog::ResourceDim dim, std::uint64_t seq) const {
     return ring_[Index(dim)][SlotOf(seq)];
   }
+
+  /// Mean of `dim` over the live window (0 when empty): summed in seq order
+  /// and divided by size(), the same arithmetic as stats::Mean over
+  /// Materialize(), so the two are bit-identical.
+  double Mean(catalog::ResourceDim dim) const;
 
   /// Materialises the live window as a PerfTrace in seq order — row i of
   /// the result is seq first_seq()+i — carrying the trace id and cadence.
@@ -98,7 +95,6 @@ class StreamingTrace {
   std::int64_t interval_seconds_;
   std::uint64_t first_seq_ = 0;
   std::uint64_t next_seq_ = 0;
-  std::uint64_t generation_ = 0;
   /// One capacity-sized column per present dimension.
   std::array<std::vector<double>, catalog::kNumResourceDims> ring_;
 };

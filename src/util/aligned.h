@@ -8,8 +8,7 @@
 namespace doppler {
 
 /// Minimal over-aligned allocator for hot-path containers: the catalog's
-/// capacity rows, the scan's throttled-row marks and the stream index's
-/// exceedance words. Starting each buffer on its own cache line keeps the
+/// capacity rows and the scan's throttled-row marks. Starting each buffer on its own cache line keeps the
 /// scan kernel's (util/kernels/) vector loads from straddling lines and
 /// lets the prefetcher stream one buffer without pulling its neighbours.
 /// Alignment must be a power of two and at least alignof(T).

@@ -1,13 +1,12 @@
 // Differential property tests for the streaming telemetry layer
 // (DESIGN.md §13): at every step of a seeded random append/evict schedule
-// the incrementally patched caches (StreamStats sorted order, StreamIndex
-// exceedance bitsets) must be bit-identical / count-identical to a
-// from-scratch rebuild (or row-major count) over a shadow copy of the
-// window, and sampled AssessStages runs over the materialised window must
-// render byte-identical JSON to assessments over the shadow. Plus: KLL sketch deterministic
-// error bounds and merge associativity, the monitor's drift-gated
-// stage-mask policy, a seeded DriftPlan soak, a concurrent reader/appender
-// soak (TSan target), and the `doppler monitor` CLI end to end.
+// the ring window must materialise byte-identical to a shadow copy of the
+// window, its mean must be bit-identical to stats::Mean over the shadow,
+// and sampled AssessStages runs over the materialised window must render
+// byte-identical JSON to assessments over the shadow. Plus: the monitor's
+// drift-gated stage-mask policy, a seeded DriftPlan soak, a concurrent
+// reader/appender soak (TSan target), and the `doppler monitor` CLI end
+// to end.
 
 #include <unistd.h>
 
@@ -19,7 +18,6 @@
 #include <deque>
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -35,12 +33,9 @@
 #include "obs/metrics.h"
 #include "serve/spool.h"
 #include "sim/fault_injector.h"
-#include "stream/kll_sketch.h"
+#include "stats/descriptive.h"
 #include "stream/monitor.h"
-#include "stream/stream_index.h"
-#include "stream/stream_stats.h"
 #include "stream/streaming_trace.h"
-#include "telemetry/trace_stats.h"
 #include "util/random.h"
 #include "workload/generator.h"
 
@@ -108,74 +103,38 @@ telemetry::PerfTrace ConstantBatch(std::size_t rows, double cpu_scale = 1.0) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential harness: StreamingTrace + patched caches vs a shadow deque
-// rebuilt from scratch at every step.
+// Differential harness: StreamingTrace vs a shadow deque rebuilt from
+// scratch at every step.
 
-// Rows throttled by ANY dimension shared by the trace and `capacities`:
-// the row-major numerator of paper Eq. 1.
-std::size_t RowMajorUnionCount(const telemetry::PerfTrace& trace,
-                               const catalog::ResourceVector& capacities) {
-  std::size_t throttled = 0;
-  for (std::size_t t = 0; t < trace.num_samples(); ++t) {
-    bool any = false;
-    for (ResourceDim dim : catalog::kAllResourceDims) {
-      if (!trace.Has(dim) || !capacities.Has(dim)) continue;
-      any |= catalog::ResourceVector::Exceeds(dim, trace.Values(dim)[t],
-                                              capacities.Get(dim));
-    }
-    throttled += any;
-  }
-  return throttled;
+// Bytes, not ==: == treats 0.0 and -0.0 as equal, and the window must hand
+// the assessment exactly the values it was fed.
+bool SameBytes(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+bool SameBytes(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
 struct Harness {
   std::vector<ResourceDim> dims;
-  std::map<ResourceDim, std::vector<double>> capacities;
   StreamingTrace trace;
-  StreamStats stats;
-  StreamIndex index;
   std::deque<std::vector<double>> shadow;
 
-  Harness(std::vector<ResourceDim> d,
-          std::map<ResourceDim, std::vector<double>> caps,
-          std::size_t capacity)
-      : dims(std::move(d)),
-        capacities(std::move(caps)),
-        trace(dims, capacity),
-        stats(&trace),
-        index(&trace) {
-    // Memoize every capacity up front (over the empty window) so the whole
-    // schedule exercises the incremental bit-patch path, not set rebuilds.
-    for (const auto& [dim, caps_for_dim] : capacities) {
-      for (double c : caps_for_dim) index.SetFor(dim, c);
-    }
-  }
-
-  // Memoizes `capacity` over the live window, so its set comes from the
-  // first-sight scan instead of from per-row patches. A capacity that is
-  // already memoized stays a memo hit.
-  void Memoize(ResourceDim dim, double capacity) {
-    std::vector<double>& caps = capacities[dim];
-    if (std::find(caps.begin(), caps.end(), capacity) == caps.end()) {
-      caps.push_back(capacity);
-    }
-    index.SetFor(dim, capacity);
-  }
+  Harness(std::vector<ResourceDim> d, std::size_t capacity)
+      : dims(std::move(d)), trace(dims, capacity) {}
 
   void Append(const std::vector<double>& row) {
     if (trace.full()) Evict();
     shadow.push_back(row);
     StatusOr<std::uint64_t> seq = trace.Append(row);
     ASSERT_TRUE(seq.ok()) << seq.status().ToString();
-    stats.OnAppend(*seq);
-    index.OnAppend(*seq);
   }
 
   void Evict() {
     ASSERT_FALSE(shadow.empty());
-    const std::uint64_t oldest = trace.first_seq();
-    stats.OnEvict(oldest);
-    index.OnEvict(oldest);
     ASSERT_TRUE(trace.PopFront().ok());
     shadow.pop_front();
   }
@@ -192,70 +151,29 @@ struct Harness {
     return out;
   }
 
-  // The full step invariant: materialisation, sorted order (bytewise),
-  // quantiles, moments, extremes, per-capacity exceedance counts, and
-  // multi-dimension union counts all equal a from-scratch rebuild or a
-  // row-major count over the shadow window.
+  // The step invariant: the materialised window equals the shadow byte for
+  // byte, and the window mean is bit-identical to stats::Mean over it (the
+  // drift detector's decisions depend on every bit).
   void Verify() const {
     ASSERT_EQ(trace.size(), shadow.size());
     const telemetry::PerfTrace shadow_trace = ShadowTrace();
     const telemetry::PerfTrace materialized = trace.Materialize();
     for (ResourceDim dim : dims) {
-      ASSERT_EQ(materialized.Values(dim), shadow_trace.Values(dim));
-    }
-
-    telemetry::TraceStatsCache rebuilt(shadow_trace);
-    for (ResourceDim dim : dims) {
-      // Bytes, not ==: == treats 0.0 and -0.0 as equal, and which of a
-      // tied pair sorts first is part of the stable-sort contract.
-      const std::vector<double>& sorted = stats.Sorted(dim);
-      const std::vector<double>& expected = rebuilt.Sorted(dim);
-      ASSERT_EQ(sorted.size(), expected.size());
-      if (!sorted.empty()) {
-        ASSERT_EQ(std::memcmp(sorted.data(), expected.data(),
-                              sorted.size() * sizeof(double)),
-                  0)
-            << catalog::ResourceDimName(dim) << " sorted order differs";
-      }
-      for (double q : {0.0, 0.25, 0.5, 0.9, 0.95, 0.99, 1.0}) {
-        ASSERT_EQ(stats.Quantile(dim, q), rebuilt.Quantile(dim, q))
-            << "q=" << q;
-      }
-      ASSERT_EQ(stats.Mean(dim), rebuilt.Mean(dim));
-      ASSERT_EQ(stats.StdDev(dim), rebuilt.StdDev(dim));
-      ASSERT_EQ(stats.Min(dim), rebuilt.Min(dim));
-      ASSERT_EQ(stats.Max(dim), rebuilt.Max(dim));
-    }
-
-    for (const auto& [dim, caps_for_dim] : capacities) {
-      for (double c : caps_for_dim) {
-        catalog::ResourceVector single;
-        single.Set(dim, c);
-        ASSERT_EQ(index.SetFor(dim, c).count,
-                  RowMajorUnionCount(shadow_trace, single))
-            << catalog::ResourceDimName(dim) << " capacity " << c;
-      }
-    }
-    for (std::size_t pick = 0; pick < 3; ++pick) {
-      catalog::ResourceVector union_caps;
-      std::size_t which = pick;
-      for (const auto& [dim, caps_for_dim] : capacities) {
-        union_caps.Set(dim, caps_for_dim[which % caps_for_dim.size()]);
-        ++which;
-      }
-      // A dimension absent from the window must be skipped by both sides.
-      union_caps.Set(ResourceDim::kStorageGb, 10.0);
-      ASSERT_EQ(index.CountExceedingUnion(union_caps),
-                RowMajorUnionCount(shadow_trace, union_caps));
+      const std::vector<double>& expected = shadow_trace.Values(dim);
+      ASSERT_TRUE(SameBytes(materialized.Values(dim), expected))
+          << catalog::ResourceDimName(dim) << " window differs";
+      ASSERT_TRUE(SameBytes(trace.Mean(dim), stats::Mean(expected)))
+          << catalog::ResourceDimName(dim) << " mean " << trace.Mean(dim)
+          << " vs " << stats::Mean(expected);
     }
   }
 };
 
-// Quantized values make ties (including exact ties AT a capacity) common,
-// so the tie order and the strict exceedance comparisons are exercised on
-// every step, not just on pathological inputs. Half of the zero CPU values
-// are -0.0: equal to 0.0 under <, but a different byte pattern, so the
-// bytewise sorted-order check sees whether ties keep row order.
+// Quantized values make ties and exact cancellations common, so the
+// bit-identity of the mean is exercised on every step, not just on
+// pathological inputs. Half of the zero CPU values are -0.0: equal to 0.0
+// under ==, but a different byte pattern, so the bytewise window check sees
+// whether the ring hands back exactly what it was fed.
 std::vector<double> QuantizedRow(Rng& rng) {
   const double q = std::floor(rng.Uniform() * 8.0) / 4.0;  // {0, .25, .., 1.75}
   const double q2 = std::floor(rng.Uniform() * 8.0) / 4.0;
@@ -266,23 +184,13 @@ std::vector<double> QuantizedRow(Rng& rng) {
   return {cpu, 2.0 + q2, 100.0 + 400.0 * q3, 1.0 + q4};
 }
 
-std::map<ResourceDim, std::vector<double>> DefaultCapacities() {
-  return {
-      {ResourceDim::kCpu, {0.0, 0.2, 0.55, 0.7}},
-      {ResourceDim::kMemoryGb, {2.0, 2.6, 3.0, 3.75}},
-      {ResourceDim::kIops, {100.0, 350.0, 500.0, 800.0}},
-      // Inverted: rows exceed when latency is BELOW the floor.
-      {ResourceDim::kIoLatencyMs, {1.0, 1.5, 2.2, 2.75}},
-  };
-}
-
 std::vector<ResourceDim> DefaultDims() {
   return {ResourceDim::kCpu, ResourceDim::kMemoryGb, ResourceDim::kIops,
           ResourceDim::kIoLatencyMs};
 }
 
 TEST_F(StreamFixture, TenThousandStepScheduleMatchesRebuild) {
-  Harness h(DefaultDims(), DefaultCapacities(), 96);
+  Harness h(DefaultDims(), 96);
   Rng rng(20260808);
   for (int step = 0; step < 10000; ++step) {
     SCOPED_TRACE("step " + std::to_string(step));
@@ -296,13 +204,6 @@ TEST_F(StreamFixture, TenThousandStepScheduleMatchesRebuild) {
       ASSERT_NO_FATAL_FAILURE(h.Evict());
     } else {
       ASSERT_NO_FATAL_FAILURE(h.Append(QuantizedRow(rng)));
-    }
-    if (step % 997 == 500) {
-      // A new CPU capacity over a populated window: on the quantized grid
-      // (ties at the capacity) for the first memoizations, just off it
-      // after.
-      const int m = 1 + step / 997;
-      h.Memoize(ResourceDim::kCpu, 0.4 * ((m % 8) / 4.0) + 0.001 * (m / 8));
     }
     ASSERT_NO_FATAL_FAILURE(h.Verify());
 
@@ -333,7 +234,7 @@ TEST_F(StreamFixture, TenThousandStepScheduleMatchesRebuild) {
 TEST(StreamDifferentialTest, TinyWindowEdgesMatchRebuild) {
   // Capacity 4: every append past the fourth wraps a slot; drains hit the
   // single-row and empty states repeatedly.
-  Harness h(DefaultDims(), DefaultCapacities(), 4);
+  Harness h(DefaultDims(), 4);
   Rng rng(7);
   for (int step = 0; step < 400; ++step) {
     SCOPED_TRACE("step " + std::to_string(step));
@@ -358,8 +259,7 @@ TEST(StreamingTraceTest, AppendEvictProtocolAndErrors) {
   ASSERT_TRUE(first.ok());
   EXPECT_EQ(*first, 0u);
   EXPECT_TRUE(trace.full());
-  // Full window refuses appends: the caller must evict first so borrowers
-  // can observe the departing row.
+  // Full window refuses appends: the caller must evict first.
   EXPECT_FALSE(trace.Append({0.7}).ok());
   ASSERT_TRUE(trace.PopFront().ok());
   StatusOr<std::uint64_t> second = trace.Append({0.7});
@@ -367,242 +267,72 @@ TEST(StreamingTraceTest, AppendEvictProtocolAndErrors) {
   EXPECT_EQ(*second, 1u);
   EXPECT_EQ(trace.first_seq(), 1u);
   EXPECT_EQ(trace.ValueAt(ResourceDim::kCpu, 1), 0.7);
-  EXPECT_EQ(trace.generation(), 3u);  // 2 appends + 1 evict
+  EXPECT_EQ(trace.Mean(ResourceDim::kCpu), 0.7);
 
   const telemetry::PerfTrace single = trace.Materialize();
   EXPECT_EQ(single.num_samples(), 1u);
   EXPECT_EQ(single.Values(ResourceDim::kCpu)[0], 0.7);
 }
 
-TEST(StreamStatsTest, RowsPatchedPerTickStaysBounded) {
-  const std::vector<ResourceDim> dims = {ResourceDim::kCpu,
-                                         ResourceDim::kIops};
-  constexpr std::size_t kCapacity = 96;
-  StreamingTrace trace(dims, kCapacity);
-  StreamStats stats(&trace);
-  StreamIndex index(&trace);
-  Rng rng(11);
-  for (std::size_t i = 0; i < kCapacity; ++i) {
-    StatusOr<std::uint64_t> seq = trace.Append({rng.Uniform(), rng.Uniform()});
-    ASSERT_TRUE(seq.ok());
-    stats.OnAppend(*seq);
-    index.OnAppend(*seq);
-  }
-  const double misses_before = CounterValue("stream.index_misses");
-  const double hits_before = CounterValue("stream.index_hits");
-  for (double c : {0.25, 0.5, 0.75, 0.9}) index.SetFor(ResourceDim::kCpu, c);
-  EXPECT_EQ(CounterValue("stream.index_misses") - misses_before, 4.0);
-  index.SetFor(ResourceDim::kCpu, 0.5);  // memo hit, no rebuild
-  EXPECT_EQ(CounterValue("stream.index_hits") - hits_before, 1.0);
-  EXPECT_EQ(index.MemoSize(ResourceDim::kCpu), 4u);
-
-  // Steady state: one evict + one append per tick. Each charges the two
-  // dimension slots in stats plus the four memoized CPU sets in the index
-  // — far below the window_size * dims a rebuild-per-tick would charge.
-  const double patched_before = CounterValue("stream.rows_patched");
-  constexpr int kTicks = 100;
-  for (int t = 0; t < kTicks; ++t) {
-    const std::uint64_t oldest = trace.first_seq();
-    stats.OnEvict(oldest);
-    index.OnEvict(oldest);
-    ASSERT_TRUE(trace.PopFront().ok());
-    StatusOr<std::uint64_t> seq = trace.Append({rng.Uniform(), rng.Uniform()});
-    ASSERT_TRUE(seq.ok());
-    stats.OnAppend(*seq);
-    index.OnAppend(*seq);
-  }
-  const double per_tick =
-      (CounterValue("stream.rows_patched") - patched_before) / kTicks;
-  EXPECT_LE(per_tick, 16.0);
-  EXPECT_LT(per_tick, static_cast<double>(kCapacity * dims.size()) / 4.0);
-  EXPECT_EQ(index.MemoSize(ResourceDim::kCpu), 4u);  // no memo churn
-}
-
 // ---------------------------------------------------------------------------
-// KLL sketch: deterministic tracked error bound, adversarial streams,
-// merge associativity-within-bound, logarithmic memory.
+// CustomerWindow: the ring holds exactly window_rows.
 
-double ExactRank(const std::vector<double>& sorted, double value) {
-  return static_cast<double>(
-      std::lower_bound(sorted.begin(), sorted.end(), value) - sorted.begin());
+// `rows` quantized CPU and IOPS values (ties and -0.0 included).
+telemetry::PerfTrace QuantizedBatch(Rng& rng, std::size_t rows) {
+  std::vector<double> cpu(rows), iops(rows);
+  for (std::size_t i = 0; i < rows; ++i) {
+    cpu[i] = std::floor(rng.Uniform() * 8.0) / 4.0;
+    if (cpu[i] == 0.0 && rng.Uniform() < 0.5) cpu[i] = -0.0;
+    iops[i] = 100.0 * std::floor(rng.Uniform() * 8.0);
+  }
+  telemetry::PerfTrace batch;
+  EXPECT_TRUE(batch.SetSeries(ResourceDim::kCpu, std::move(cpu)).ok());
+  EXPECT_TRUE(batch.SetSeries(ResourceDim::kIops, std::move(iops)).ok());
+  return batch;
 }
 
-void CheckSketchAgainstStream(const KllSketch& sketch,
-                              std::vector<double> stream) {
-  std::sort(stream.begin(), stream.end());
-  const double bound = static_cast<double>(sketch.rank_error_bound());
-  ASSERT_EQ(sketch.count(), stream.size());
-  // Probe at every 97th stream item plus the extremes.
-  for (std::size_t i = 0; i < stream.size(); i += 97) {
-    const double v = stream[i];
-    EXPECT_LE(std::fabs(sketch.EstimateRank(v) - ExactRank(stream, v)), bound)
-        << "value " << v;
-  }
-  EXPECT_LE(std::fabs(sketch.EstimateRank(stream.front() - 1.0) - 0.0), bound);
-  EXPECT_LE(std::fabs(sketch.EstimateRank(stream.back() + 1.0) -
-                      static_cast<double>(stream.size())),
-            bound);
-  // Quantiles land within the bound plus one item weight of the target.
-  // A tied value occupies a rank INTERVAL [strictly-less, at-or-below), so
-  // the distance is measured to the interval, not to a point rank.
-  const double max_weight =
-      std::ldexp(1.0, static_cast<int>(sketch.num_levels()) - 1);
-  for (double q : {0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0}) {
-    const double picked = sketch.Quantile(q);
-    const double target = q * static_cast<double>(stream.size());
-    const double lo = ExactRank(stream, picked);
-    const double hi = static_cast<double>(
-        std::upper_bound(stream.begin(), stream.end(), picked) -
-        stream.begin());
-    const double distance =
-        target < lo ? lo - target : (target > hi ? target - hi : 0.0);
-    EXPECT_LE(distance, bound + max_weight) << "q=" << q;
-  }
-}
-
-TEST(KllSketchTest, AdversarialStreamsStayWithinTrackedBound) {
-  constexpr std::size_t kN = 20000;
-  constexpr std::size_t kK = 200;
-
-  std::vector<std::pair<const char*, std::vector<double>>> streams;
-  std::vector<double> ascending(kN), descending(kN), ties(kN), pareto(kN);
-  for (std::size_t i = 0; i < kN; ++i) {
-    ascending[i] = static_cast<double>(i);
-    descending[i] = static_cast<double>(kN - i);
-    ties[i] = static_cast<double>(i % 5);
-  }
-  Rng rng(13);
-  for (std::size_t i = 0; i < kN; ++i) pareto[i] = rng.Pareto(1.0, 1.2);
-  streams.emplace_back("ascending", ascending);
-  streams.emplace_back("descending", descending);
-  streams.emplace_back("heavy-ties", ties);
-  streams.emplace_back("pareto", pareto);
-
-  for (const auto& [name, stream] : streams) {
-    SCOPED_TRACE(name);
-    KllSketch sketch(kK, 99);
-    for (double v : stream) sketch.Add(v);
-    // The tracked bound itself stays small: well under 5% of the stream.
-    EXPECT_LE(sketch.rank_error_bound(), kN / 20)
-        << "bound " << sketch.rank_error_bound();
-    ASSERT_NO_FATAL_FAILURE(CheckSketchAgainstStream(sketch, stream));
-  }
-}
-
-TEST(KllSketchTest, SmallStreamsAreExact) {
-  // Below the per-level budget no compaction ever fires: zero error bound
-  // and exact ranks.
-  KllSketch sketch(200, 5);
-  for (int i = 0; i < 150; ++i) sketch.Add(static_cast<double>(i));
-  EXPECT_EQ(sketch.rank_error_bound(), 0u);
-  EXPECT_EQ(sketch.retained(), 150u);
-  EXPECT_EQ(sketch.EstimateRank(75.0), 75.0);
-}
-
-TEST(KllSketchTest, MergeIsAssociativeWithinSummedBounds) {
-  constexpr std::size_t kSegment = 7000;
-  std::vector<double> s1(kSegment), s2(kSegment), s3(kSegment);
-  Rng rng(31);
-  for (std::size_t i = 0; i < kSegment; ++i) {
-    s1[i] = static_cast<double>(i);
-    s2[i] = static_cast<double>(2 * kSegment - i);
-    s3[i] = rng.Pareto(0.5, 1.5);
-  }
-  KllSketch a(128, 1), b(128, 2), c(128, 3);
-  for (double v : s1) a.Add(v);
-  for (double v : s2) b.Add(v);
-  for (double v : s3) c.Add(v);
-
-  KllSketch left = a;
-  left.Merge(b);
-  left.Merge(c);
-  KllSketch right = c;
-  right.Merge(b);
-  right.Merge(a);
-  EXPECT_EQ(left.count(), 3 * kSegment);
-  EXPECT_EQ(right.count(), 3 * kSegment);
-
-  std::vector<double> all;
-  all.reserve(3 * kSegment);
-  all.insert(all.end(), s1.begin(), s1.end());
-  all.insert(all.end(), s2.begin(), s2.end());
-  all.insert(all.end(), s3.begin(), s3.end());
-  // Merge order changes which items survive compaction but never the
-  // guarantee: both orders answer within their own tracked bounds.
-  ASSERT_NO_FATAL_FAILURE(CheckSketchAgainstStream(left, all));
-  ASSERT_NO_FATAL_FAILURE(CheckSketchAgainstStream(right, all));
-}
-
-TEST(KllSketchTest, RetainedStaysLogarithmic) {
-  constexpr std::size_t kN = 200000;
-  constexpr std::size_t kK = 200;
-  KllSketch sketch(kK, 17);
-  for (std::size_t i = 0; i < kN; ++i) {
-    sketch.Add(static_cast<double>(i % 977));
-  }
-  // O(k * log(n/k)) retention: a generous constant still sits orders of
-  // magnitude below the stream length.
-  EXPECT_LE(sketch.retained(), kK * (sketch.num_levels() + 1));
-  EXPECT_LE(sketch.retained(), kN / 40);
-}
-
-// ---------------------------------------------------------------------------
-// CustomerWindow modes.
-
-TEST(CustomerWindowTest, SketchModeClampsRingAndAnswersLifetimeQuantiles) {
+TEST(CustomerWindowTest, RingHoldsExactlyWindowRows) {
   MonitorOptions options;
-  options.window_rows = 200;        // asks for more than the budget...
-  options.sketch_row_budget = 100;  // ...so the window runs in sketch mode
-  CustomerWindow window("sketchy", {ResourceDim::kCpu}, options);
-  EXPECT_FALSE(window.exact_mode());
+  options.window_rows = kMaxWindowRows;
+  CustomerWindow window("largest", {ResourceDim::kCpu}, options);
 
   telemetry::PerfTrace batch;
-  std::vector<double> values(150);
+  std::vector<double> values(kMaxWindowRows + 50);
   for (std::size_t i = 0; i < values.size(); ++i) {
     values[i] = static_cast<double>(i);
   }
   ASSERT_TRUE(batch.SetSeries(ResourceDim::kCpu, std::move(values)).ok());
   StatusOr<CustomerWindow::BatchResult> result = window.Append(batch);
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->appended, 150u);
-  EXPECT_EQ(result->evicted, 50u);  // ring clamped to the 100-row budget
-  EXPECT_EQ(window.resident_rows(), 100u);
-  EXPECT_EQ(window.total_rows(), 150u);
+  EXPECT_EQ(result->appended, kMaxWindowRows + 50);
+  EXPECT_EQ(result->evicted, 50u);
+  EXPECT_EQ(window.resident_rows(), kMaxWindowRows);
+  EXPECT_EQ(window.total_rows(), kMaxWindowRows + 50);
 
-  // The resident ring holds only rows 50..149, but quantiles summarise the
-  // LIFETIME stream: the sketch still knows about the evicted prefix.
+  // The oldest 50 rows left; the newest kMaxWindowRows stay in seq order.
   const telemetry::PerfTrace resident = window.MaterializeTrace();
+  ASSERT_EQ(resident.num_samples(), kMaxWindowRows);
   EXPECT_EQ(resident.Values(ResourceDim::kCpu).front(), 50.0);
-  EXPECT_LE(window.Quantile(ResourceDim::kCpu, 0.0), 1.0);
-  EXPECT_EQ(window.sketch(ResourceDim::kCpu).count(), 150u);
+  EXPECT_EQ(resident.Values(ResourceDim::kCpu).back(),
+            static_cast<double>(kMaxWindowRows + 49));
 }
 
-TEST(CustomerWindowTest, ExactModeQuantileMatchesRebuild) {
+TEST(CustomerWindowTest, WindowMeanMatchesRebuild) {
   MonitorOptions options;
   options.window_rows = 64;
   CustomerWindow window("exact", {ResourceDim::kCpu, ResourceDim::kIops},
                         options);
-  ASSERT_TRUE(window.exact_mode());
   Rng rng(23);
-  telemetry::PerfTrace batch;
-  std::vector<double> cpu(100), iops(100);
-  for (std::size_t i = 0; i < 100; ++i) {
-    cpu[i] = std::floor(rng.Uniform() * 8.0) / 4.0;
-    iops[i] = 100.0 * std::floor(rng.Uniform() * 8.0);
+  for (std::size_t rows : {10u, 54u, 36u, 1u, 100u}) {
+    ASSERT_TRUE(window.Append(QuantizedBatch(rng, rows)).ok());
+    const telemetry::PerfTrace resident = window.MaterializeTrace();
+    for (ResourceDim dim : {ResourceDim::kCpu, ResourceDim::kIops}) {
+      EXPECT_TRUE(SameBytes(window.WindowMean(dim),
+                            stats::Mean(resident.Values(dim))))
+          << catalog::ResourceDimName(dim) << " after +" << rows;
+    }
   }
-  ASSERT_TRUE(batch.SetSeries(ResourceDim::kCpu, cpu).ok());
-  ASSERT_TRUE(batch.SetSeries(ResourceDim::kIops, iops).ok());
-  ASSERT_TRUE(window.Append(batch).ok());
   EXPECT_EQ(window.resident_rows(), 64u);
-
-  const telemetry::PerfTrace resident = window.MaterializeTrace();
-  telemetry::TraceStatsCache rebuilt(resident);
-  for (double q : {0.0, 0.5, 0.95, 1.0}) {
-    EXPECT_EQ(window.Quantile(ResourceDim::kCpu, q),
-              rebuilt.Quantile(ResourceDim::kCpu, q));
-    EXPECT_EQ(window.Quantile(ResourceDim::kIops, q),
-              rebuilt.Quantile(ResourceDim::kIops, q));
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -810,8 +540,8 @@ TEST_F(StreamFixture, DriftSoakTripsAtPlannedTick) {
 
 // ---------------------------------------------------------------------------
 // Concurrency soak (TSan target): one appender streams batches while
-// readers snapshot quantiles, means, exceedance counts and materialised
-// traces through the window's lock.
+// readers snapshot means and materialised traces through the window's
+// lock.
 
 TEST(StreamConcurrencySoakTest, ReadersRaceAppender) {
   MonitorOptions options;
@@ -821,10 +551,15 @@ TEST(StreamConcurrencySoakTest, ReadersRaceAppender) {
 
   constexpr int kBatches = 200;
   constexpr std::size_t kRows = 8;
+  constexpr int kReaders = 2;
+  std::atomic<int> readers_started{0};
   std::atomic<bool> done{false};
   std::atomic<int> failures{0};
 
   std::thread appender([&]() {
+    // Appending only once every reader runs makes the reads overlap the
+    // appends instead of starting after the last batch landed.
+    while (readers_started.load() < kReaders) std::this_thread::yield();
     Rng rng(5);
     for (int b = 0; b < kBatches; ++b) {
       telemetry::PerfTrace batch;
@@ -844,18 +579,15 @@ TEST(StreamConcurrencySoakTest, ReadersRaceAppender) {
   });
 
   std::vector<std::thread> readers;
-  for (int r = 0; r < 2; ++r) {
+  for (int r = 0; r < kReaders; ++r) {
     readers.emplace_back([&]() {
-      catalog::ResourceVector caps;
-      caps.Set(ResourceDim::kCpu, 0.5);
-      caps.Set(ResourceDim::kIops, 400.0);
+      ++readers_started;
       while (!done.load()) {
-        const double q = window.Quantile(ResourceDim::kCpu, 0.9);
-        const double mean = window.WindowMean(ResourceDim::kIops);
-        const std::size_t exceeding = window.CountExceedingUnion(caps);
+        const double cpu_mean = window.WindowMean(ResourceDim::kCpu);
+        const double iops_mean = window.WindowMean(ResourceDim::kIops);
         const telemetry::PerfTrace snapshot = window.MaterializeTrace();
-        if (q < 0.0 || q > 1.0 || mean < 0.0 ||
-            exceeding > options.window_rows ||
+        if (cpu_mean < 0.0 || cpu_mean > 1.0 || iops_mean < 0.0 ||
+            iops_mean > 1000.0 ||
             snapshot.num_samples() > options.window_rows) {
           ++failures;
           break;
@@ -869,11 +601,10 @@ TEST(StreamConcurrencySoakTest, ReadersRaceAppender) {
   EXPECT_EQ(window.resident_rows(), 64u);
   EXPECT_EQ(window.total_rows(), kBatches * kRows);
 
-  // After the race, the incremental state still equals a rebuild.
+  // After the race, the window mean still equals a rebuild.
   const telemetry::PerfTrace resident = window.MaterializeTrace();
-  telemetry::TraceStatsCache rebuilt(resident);
-  EXPECT_EQ(window.Quantile(ResourceDim::kCpu, 0.95),
-            rebuilt.Quantile(ResourceDim::kCpu, 0.95));
+  EXPECT_TRUE(SameBytes(window.WindowMean(ResourceDim::kCpu),
+                        stats::Mean(resident.Values(ResourceDim::kCpu))));
 }
 
 // ---------------------------------------------------------------------------
@@ -1051,6 +782,51 @@ TEST(MonitorCliTest, EmptySpoolReturnsNotFound) {
             4);  // kNotFound
   std::ostringstream err;
   EXPECT_EQ(dma::CliMain({"monitor"}, err), 3);  // missing --spool
+}
+
+// Runs `doppler monitor` over a one-batch spool with `extra` flags appended.
+int RunMonitorWith(const std::vector<std::string>& extra, std::string* out) {
+  MonitorSpoolDir spool("cli_flags");
+  spool.Write("acme.0001.csv", kBatchCsv);
+  std::vector<std::string> args = {"monitor", "--spool", spool.path(),
+                                   "--rounds", "1", "--min-assess-rows", "4"};
+  args.insert(args.end(), extra.begin(), extra.end());
+  std::ostringstream text;
+  const int code = dma::CliMain(args, text);
+  *out = text.str();
+  return code;
+}
+
+TEST(MonitorCliTest, DriftToleranceMustBeFinitePositive) {
+  // nan compares false against every mean shift and inf is never exceeded:
+  // either would switch drift detection off without a word.
+  for (const char* bad : {"nan", "inf", "-1", "0", "0.25x"}) {
+    std::string out;
+    EXPECT_EQ(RunMonitorWith({"--drift-tolerance", bad}, &out), 3) << bad;
+    EXPECT_NE(out.find("--drift-tolerance"), std::string::npos) << out;
+  }
+  std::string out;
+  EXPECT_EQ(RunMonitorWith({"--drift-tolerance", "0.5"}, &out), 0) << out;
+}
+
+TEST(MonitorCliTest, RemovedSketchBudgetFlagIsRejected) {
+  // Ignoring the flag would silently grow a 100-row window to the default.
+  std::string out;
+  EXPECT_EQ(RunMonitorWith({"--sketch-budget", "100"}, &out), 3);
+  EXPECT_NE(out.find("--sketch-budget was removed"), std::string::npos) << out;
+  EXPECT_NE(out.find("--window-rows"), std::string::npos) << out;
+}
+
+TEST(MonitorCliTest, WindowRowsAboveCapIsRejected) {
+  const std::string cap = std::to_string(kMaxWindowRows);
+  const std::string over = std::to_string(kMaxWindowRows + 1);
+  std::string out;
+  EXPECT_EQ(RunMonitorWith({"--window-rows", over}, &out), 3);
+  EXPECT_NE(out.find("--window-rows must be at most " + cap), std::string::npos)
+      << out;
+  // 2^32 + 1 must not wrap to a 1-row window.
+  EXPECT_EQ(RunMonitorWith({"--window-rows", "4294967297"}, &out), 3) << out;
+  EXPECT_EQ(RunMonitorWith({"--window-rows", cap}, &out), 0) << out;
 }
 
 }  // namespace

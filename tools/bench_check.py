@@ -52,7 +52,6 @@ DEFAULT_COUNTERS = [
     "ppm.samples_scanned.azure-db",
     "ppm.samples_scanned.aws-rds",
     "stats.rows_sorted",
-    "stream.rows_patched",
 ]
 DEFAULT_EXACT_COUNTERS = [
     "serve.admitted", "serve.shed", "serve.expired", "obs.flight.recorded",

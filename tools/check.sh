@@ -2,6 +2,7 @@
 # Repo hygiene + sanitizer gate:
 #   1. fails if generated build trees are tracked by git,
 #   2. builds with AddressSanitizer + UBSan and runs the full tier-1 suite,
+#      with NDEBUG left undefined so every assert() in src/ runs,
 #   3. builds the end-to-end benchmark (perfbench/, Release, under
 #      <build-dir>/perfbench) and runs its unit tests, so a library API
 #      change that breaks the benchmark's build fails here,
@@ -23,11 +24,12 @@
 # ppm.samples_scanned.<target-id> splits, and stats.rows_sorted), the
 # snapshot-compile count (catalog.targets_compiled, exact) and the
 # serving-path admission counters (serve.admitted/shed/expired) against
-# the committed BENCH_pipeline.json via tools/bench_check.py. Counter-based, so it is stable on the 1-CPU
-# container where wall time is not. After an INTENDED cost change,
-# refresh the baseline:
+# the committed BENCH_pipeline.json via tools/bench_check.py, plus the
+# flight-recorder record count (obs.flight.recorded, exact). Counter-based,
+# so it is stable on a 1-CPU machine where wall time is not. After an
+# INTENDED cost change, refresh the baseline:
 #   ./build/bench/bench_perf_engine \
-#     --benchmark_filter='BM_PipelineAssess|BM_CompiledAssess|BM_CrossTargetCurve|BM_ServeOverload|BM_FlightRecorderOverhead|BM_StreamAppendAssess|BM_RebuildAssess|BM_ScanKernel' \
+#     --benchmark_filter='BM_PipelineAssess|BM_CompiledAssess|BM_CrossTargetCurve|BM_ServeOverload|BM_FlightRecorderOverhead|BM_ScanKernel' \
 #     --benchmark_out=BENCH_pipeline.json --benchmark_out_format=json
 #
 # Soak mode: tools/check.sh --soak [build-dir] (default build-soak)
@@ -46,7 +48,7 @@ if [[ "${1:-}" == "--bench" ]]; then
   fresh_json="$(mktemp --suffix=.json)"
   trap 'rm -f "${fresh_json}"' EXIT
   "${bench_build_dir}/bench/bench_perf_engine" \
-    --benchmark_filter='BM_PipelineAssess|BM_CompiledAssess|BM_CrossTargetCurve|BM_ServeOverload|BM_FlightRecorderOverhead|BM_StreamAppendAssess|BM_RebuildAssess|BM_ScanKernel' \
+    --benchmark_filter='BM_PipelineAssess|BM_CompiledAssess|BM_CrossTargetCurve|BM_ServeOverload|BM_FlightRecorderOverhead|BM_ScanKernel' \
     --benchmark_out="${fresh_json}" --benchmark_out_format=json
   # Counter comparison against the committed baseline, plus the scan
   # kernel's within-run wall-time gate: the AVX2 mark body must beat the
@@ -88,9 +90,12 @@ if [[ "${tracked_build_files}" -ne 0 ]]; then
   exit 1
 fi
 
+# RelWithDebInfo's default flags define NDEBUG; dropping it keeps the
+# asserts (e.g. util/json_writer.cc's nesting checks) live in this pass.
 cmake -B "${build_dir}" -S "${repo_root}" \
   -DDOPPLER_SANITIZE="address;undefined" \
-  -DCMAKE_BUILD_TYPE=RelWithDebInfo
+  -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DCMAKE_CXX_FLAGS_RELWITHDEBINFO="-O2 -g"
 cmake --build "${build_dir}" -j"$(nproc)"
 
 # halt_on_error makes UBSan findings fail the run instead of just logging.
